@@ -1,11 +1,13 @@
 // Ablation: replay warm-up of freshly instantiated guesses (an
-// implementation decision of the adaptive-range variant, documented in
-// DESIGN.md). When the witnessed distance range shifts, OursOblivious
-// creates guess structures for scales it was not tracking; seeding them by
-// replaying the nearest existing guess's stored points keeps the new scale
-// aware of the current window. Without it, fresh guesses only learn about
-// future arrivals and query quality degrades for up to a window length
-// after every regime shift.
+// implementation decision of the adaptive-range variant; see the
+// `src/core/` notes in docs/ARCHITECTURE.md and
+// FairCenterSlidingWindow::CreateGuess in
+// src/core/fair_center_sliding_window.cc). When the witnessed distance
+// range shifts, OursOblivious creates guess structures for scales it was
+// not tracking; seeding them by replaying the nearest existing guess's
+// stored points keeps the new scale aware of the current window. Without
+// it, fresh guesses only learn about future arrivals and query quality
+// degrades for up to a window length after every regime shift.
 //
 // Workload: a stream alternating between a wide and a tight regime every
 // 1.5 window lengths, so range shifts keep happening. Expected shape: the

@@ -329,8 +329,9 @@ void RunQueryBench(benchmark::State& state, int num_threads) {
   state.counters["coreset_size"] = static_cast<double>(stats.coreset_size);
 }
 
-// Fixed-work distance-call ledger: exactly 6000 arrivals then 10 query
-// plans through a CountingMetric, reported as run totals. Unlike the
+// Fixed-work distance-call ledger: exactly 6000 arrivals, then 10 query
+// plans, then one Jones solve per planned coreset, all through a
+// CountingMetric and reported as run totals per phase. Unlike the
 // steady-state per-arrival counters above — which depend on where the
 // benchmark's timing window lands in the stream and so wobble between runs
 // — these totals are bit-exact for a given build and must be IDENTICAL
@@ -344,11 +345,20 @@ void BM_DistanceCallLedger(benchmark::State& state) {
   const int64_t update_calls = counting.count();
   counting.Reset();
   int64_t plan_coreset = 0;
+  std::vector<std::vector<Point>> coresets;
   for (int q = 0; q < 10; ++q) {
     auto plan = window.PlanQuery();
     plan_coreset += plan.ok() ? plan.value().stats.coreset_size : -1;
+    if (plan.ok()) coresets.push_back(std::move(plan.value().coreset));
   }
   const int64_t query_calls = counting.count();
+  counting.Reset();
+  const JonesFairCenter jones;
+  for (const auto& coreset : coresets) {
+    auto solution = jones.Solve(counting, coreset, window.constraint());
+    benchmark::DoNotOptimize(solution);
+  }
+  const int64_t solve_calls = counting.count();
   for (auto _ : state) {
     benchmark::DoNotOptimize(&window);
   }
@@ -357,6 +367,8 @@ void BM_DistanceCallLedger(benchmark::State& state) {
       static_cast<double>(update_calls);
   state.counters["distance_calls_total_query"] =
       static_cast<double>(query_calls);
+  state.counters["distance_calls_total_solve"] =
+      static_cast<double>(solve_calls);
   state.counters["expiry_sweeps_total"] =
       static_cast<double>(window.ExpirySweeps());
   state.counters["coreset_size_planned"] = static_cast<double>(plan_coreset);

@@ -149,4 +149,13 @@ void CoordinatePool::CheckInvariants() const {
   }
 }
 
+CoordinatePool::CoordinatePool(const std::vector<Point>& points)
+    : dim_(points.empty() ? 0 : points[0].dimension()) {
+  if (points.empty()) return;
+  EnsureCapacity(points.size());
+  dense_to_slot_.reserve(points.size());
+  slot_to_dense_.reserve(points.size());
+  for (const Point& p : points) Append(p);
+}
+
 }  // namespace fkc

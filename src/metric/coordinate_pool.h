@@ -37,6 +37,9 @@ class CoordinatePool {
   /// An empty pool of dimension 0; ResetDim before the first Append.
   CoordinatePool() = default;
   explicit CoordinatePool(size_t dim) : dim_(dim) {}
+  /// A pool holding `points` in order (dense position i == points[i]), sized
+  /// in one allocation; dimension 0 when `points` is empty.
+  explicit CoordinatePool(const std::vector<Point>& points);
 
   /// Drops all points and re-dimensions the pool.
   void ResetDim(size_t dim);

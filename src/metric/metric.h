@@ -43,8 +43,13 @@ class Metric {
   /// implementation gathers each column and calls Distance, so custom
   /// metrics stay correct without opting in — PROVIDED the metric depends on
   /// coordinates only. The pool stores no color/arrival/id, so a Distance
-  /// that consults those fields must override DistanceSoA itself (the
-  /// streaming core routes all attractor scans through here).
+  /// that consults those fields must override DistanceSoA itself: the
+  /// streaming core routes all attractor scans through here, and the
+  /// sequential solvers (Gonzalez, the Jones color table, ClusteringRadius,
+  /// k-median) compute their distances here too. Those solvers read
+  /// d(point i, head) from the head's row d(head, point i), so they also
+  /// rely on Distance being exactly symmetric (the built-in metrics are,
+  /// bit for bit).
   ///
   /// Contract: identical to DistanceMany — every out[i] must be bit-identical
   /// to Distance(p, column i). The SIMD kernels honor this by giving each

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "metric/coordinate_pool.h"
 
 namespace fkc {
 namespace {
@@ -60,7 +61,9 @@ Result<FairCenterSolution> BruteForceFairCenter(
     return Status::Infeasible("all usable color caps are zero");
   }
 
-  // Cartesian product of per-color combinations via recursion over colors.
+  // Cartesian product of per-color combinations via recursion over colors;
+  // every candidate's radius is taken over one shared coordinate pool.
+  const CoordinatePool window(points);
   FairCenterSolution best;
   best.radius = std::numeric_limits<double>::infinity();
   std::vector<int> chosen;
@@ -70,7 +73,7 @@ Result<FairCenterSolution> BruteForceFairCenter(
       std::vector<Point> centers;
       centers.reserve(chosen.size());
       for (int idx : chosen) centers.push_back(points[idx]);
-      const double radius = ClusteringRadius(metric, points, centers);
+      const double radius = ClusteringRadiusSoA(metric, window, centers);
       if (radius < best.radius) {
         best.radius = radius;
         best.centers = std::move(centers);

@@ -1,11 +1,12 @@
 // Gonzalez's greedy 2-approximation for unconstrained k-center [23]. Beyond
-// being a baseline, it is the head-selection engine inside the Jones and
-// Kleindessner fair solvers.
+// being a baseline, it is the head-selection engine inside the Jones fair
+// solver and the k-median seeding.
 #ifndef FKC_SEQUENTIAL_GONZALEZ_H_
 #define FKC_SEQUENTIAL_GONZALEZ_H_
 
 #include <vector>
 
+#include "metric/coordinate_pool.h"
 #include "metric/metric.h"
 #include "metric/point.h"
 
@@ -24,10 +25,23 @@ struct GonzalezResult {
 };
 
 /// Runs the farthest-point greedy starting from `first_index`, selecting
-/// min(k, n) heads. O(n * k) distance evaluations.
+/// min(k, n) heads. O(n * k) distance evaluations. Builds a CoordinatePool
+/// of `points` and delegates to the pool overload.
 GonzalezResult GonzalezKCenter(const Metric& metric,
                                const std::vector<Point>& points, int k,
                                int first_index = 0);
+
+/// The same traversal over `pool`, which must hold `points` in order (dense
+/// position i == points[i]). Each selected head costs one DistanceSoA row,
+/// d(head, points[i]) for every i; the result equals the per-pair
+/// d(points[i], head) loop bit for bit because the kernels reproduce
+/// Distance exactly and the metric is symmetric. When `head_rows` is
+/// non-null it receives those rows: row j (head j) at [j * n, (j + 1) * n).
+GonzalezResult GonzalezKCenter(const Metric& metric,
+                               const std::vector<Point>& points,
+                               const CoordinatePool& pool, int k,
+                               int first_index = 0,
+                               std::vector<double>* head_rows = nullptr);
 
 /// Convenience: materializes the head points of a GonzalezResult.
 std::vector<Point> HeadPoints(const std::vector<Point>& points,

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "matching/capacitated_matching.h"
+#include "metric/coordinate_pool.h"
 #include "sequential/gonzalez.h"
 
 namespace fkc {
@@ -14,28 +15,31 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // For each head, the distance to the nearest point of each color and that
-// point's index. O(n * k) distance evaluations.
+// point's index, read from the Gonzalez head rows (no distance evaluations).
+// Entry [h * ell + c].
 struct ColorTable {
-  // nearest_distance[h][c], nearest_index[h][c]
-  std::vector<std::vector<double>> nearest_distance;
-  std::vector<std::vector<int>> nearest_index;
+  int ell = 0;
+  std::vector<double> nearest_distance;
+  std::vector<int> nearest_index;
 };
 
-ColorTable BuildColorTable(const Metric& metric,
-                           const std::vector<Point>& points,
-                           const std::vector<int>& head_indices, int ell) {
+ColorTable BuildColorTable(const std::vector<Point>& points,
+                           const std::vector<double>& head_rows, size_t heads,
+                           int ell) {
   ColorTable table;
-  const size_t heads = head_indices.size();
-  table.nearest_distance.assign(heads, std::vector<double>(ell, kInf));
-  table.nearest_index.assign(heads, std::vector<int>(ell, -1));
+  table.ell = ell;
+  table.nearest_distance.assign(heads * ell, kInf);
+  table.nearest_index.assign(heads * ell, -1);
+  const size_t n = points.size();
   for (size_t h = 0; h < heads; ++h) {
-    const Point& head = points[head_indices[h]];
-    for (size_t i = 0; i < points.size(); ++i) {
+    const double* row = head_rows.data() + h * n;
+    double* nearest = table.nearest_distance.data() + h * ell;
+    int* index = table.nearest_index.data() + h * ell;
+    for (size_t i = 0; i < n; ++i) {
       const int c = points[i].color;
-      const double d = metric.Distance(head, points[i]);
-      if (d < table.nearest_distance[h][c]) {
-        table.nearest_distance[h][c] = d;
-        table.nearest_index[h][c] = static_cast<int>(i);
+      if (row[i] < nearest[c]) {
+        nearest[c] = row[i];
+        index[c] = static_cast<int>(i);
       }
     }
   }
@@ -43,11 +47,11 @@ ColorTable BuildColorTable(const Metric& metric,
 }
 
 // Attempts to match the prefix of heads with insertion distance > 2*rho to
-// color slots using balls of radius rho. On success fills `centers`.
+// color slots using balls of radius rho. On success fills `colors` with the
+// color matched to each prefix head.
 bool TryRadius(double rho, const GonzalezResult& gonzalez,
                const ColorTable& table, const ColorConstraint& constraint,
-               const std::vector<Point>& points,
-               std::vector<Point>* centers) {
+               std::vector<int>* colors) {
   // Maximal prefix with delta_j > 2*rho; delta_0 = +inf so the prefix is
   // never empty.
   size_t prefix = 0;
@@ -59,23 +63,17 @@ bool TryRadius(double rho, const GonzalezResult& gonzalez,
   std::vector<std::vector<int>> allowed(prefix);
   for (size_t h = 0; h < prefix; ++h) {
     for (int c = 0; c < constraint.ell(); ++c) {
-      if (constraint.cap(c) > 0 && table.nearest_distance[h][c] <= rho) {
+      if (constraint.cap(c) > 0 &&
+          table.nearest_distance[h * table.ell + c] <= rho) {
         allowed[h].push_back(c);
       }
     }
   }
 
-  const CapacitatedMatchingResult matching =
+  CapacitatedMatchingResult matching =
       MaximumCapacitatedMatching(allowed, constraint);
   if (!matching.Saturates(static_cast<int>(prefix))) return false;
-
-  centers->clear();
-  for (size_t h = 0; h < prefix; ++h) {
-    const int color = matching.assigned_color[h];
-    const int point_index = table.nearest_index[h][color];
-    FKC_CHECK_GE(point_index, 0);
-    centers->push_back(points[point_index]);
-  }
+  *colors = std::move(matching.assigned_color);
   return true;
 }
 
@@ -95,17 +93,21 @@ Result<FairCenterSolution> JonesFairCenter::Solve(
   const int k = constraint.TotalK();
   if (k <= 0) return Status::Infeasible("all color caps are zero");
 
-  const GonzalezResult gonzalez = GonzalezKCenter(metric, points, k);
+  // One pool per solve: Gonzalez keeps its k head rows, the color table
+  // reads them, and the radius takes k more rows over the same pool.
+  const CoordinatePool pool(points);
+  std::vector<double> head_rows;
+  const GonzalezResult gonzalez =
+      GonzalezKCenter(metric, points, pool, k, /*first_index=*/0, &head_rows);
   const ColorTable table =
-      BuildColorTable(metric, points, gonzalez.head_indices, constraint.ell());
+      BuildColorTable(points, head_rows, gonzalez.head_indices.size(),
+                      constraint.ell());
 
   // Candidate radii where feasibility can flip: head-to-color distances and
   // prefix breakpoints delta_j / 2 (and 0, for the degenerate exact case).
   std::vector<double> candidates = {0.0};
-  for (const auto& row : table.nearest_distance) {
-    for (double d : row) {
-      if (std::isfinite(d)) candidates.push_back(d);
-    }
+  for (double d : table.nearest_distance) {
+    if (std::isfinite(d)) candidates.push_back(d);
   }
   for (double delta : gonzalez.insertion_distances) {
     if (std::isfinite(delta)) candidates.push_back(delta / 2.0);
@@ -115,33 +117,35 @@ Result<FairCenterSolution> JonesFairCenter::Solve(
                    candidates.end());
 
   // Feasibility is monotone in rho: binary search for the smallest feasible
-  // candidate.
-  std::vector<Point> centers;
-  size_t lo = 0;
-  size_t hi = candidates.size();  // exclusive; candidates[hi-1] assumed tested
-  if (!TryRadius(candidates.back(), gonzalez, table, constraint, points,
-                 &centers)) {
+  // candidate, keeping the matching of the last feasible probe. That probe
+  // is at the final `hi`, so no re-solve is needed.
+  std::vector<int> colors;
+  if (!TryRadius(candidates.back(), gonzalez, table, constraint, &colors)) {
     return Status::Infeasible(
         "no head can be matched to any color with spare capacity");
   }
-  hi = candidates.size() - 1;
+  size_t lo = 0;
+  size_t hi = candidates.size() - 1;  // known feasible
+  std::vector<int> attempt;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    std::vector<Point> attempt;
-    if (TryRadius(candidates[mid], gonzalez, table, constraint, points,
-                  &attempt)) {
+    if (TryRadius(candidates[mid], gonzalez, table, constraint, &attempt)) {
       hi = mid;
+      colors.swap(attempt);
     } else {
       lo = mid + 1;
     }
   }
-  std::vector<Point> final_centers;
-  FKC_CHECK(TryRadius(candidates[lo], gonzalez, table, constraint, points,
-                      &final_centers));
 
+  // Each matched head contributes the closest point of its matched color.
   FairCenterSolution solution;
-  solution.centers = std::move(final_centers);
-  solution.radius = ClusteringRadius(metric, points, solution.centers);
+  solution.centers.reserve(colors.size());
+  for (size_t h = 0; h < colors.size(); ++h) {
+    const int point_index = table.nearest_index[h * table.ell + colors[h]];
+    FKC_CHECK_GE(point_index, 0);
+    solution.centers.push_back(points[point_index]);
+  }
+  solution.radius = ClusteringRadiusSoA(metric, pool, solution.centers);
   return solution;
 }
 

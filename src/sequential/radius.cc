@@ -8,11 +8,25 @@ namespace fkc {
 
 double ClusteringRadius(const Metric& metric, const std::vector<Point>& window,
                         const std::vector<Point>& centers) {
+  return ClusteringRadiusSoA(metric, CoordinatePool(window), centers);
+}
+
+double ClusteringRadiusSoA(const Metric& metric,
+                           const CoordinatePool& window,
+                           const std::vector<Point>& centers) {
   if (window.empty()) return 0.0;
   if (centers.empty()) return std::numeric_limits<double>::infinity();
+  const size_t n = window.size();
+  std::vector<double> nearest(n, std::numeric_limits<double>::infinity());
+  std::vector<double> row(n);
+  for (const Point& c : centers) {
+    metric.DistanceSoA(c, window, row.data());
+    for (size_t i = 0; i < n; ++i) {
+      if (row[i] < nearest[i]) nearest[i] = row[i];
+    }
+  }
   double worst = 0.0;
-  for (const Point& p : window) {
-    const double d = DistanceToSet(metric, p, centers);
+  for (double d : nearest) {
     if (d > worst) worst = d;
   }
   return worst;

@@ -5,15 +5,25 @@
 
 #include <vector>
 
+#include "metric/coordinate_pool.h"
 #include "metric/metric.h"
 #include "metric/point.h"
 
 namespace fkc {
 
 /// r_C(W) = max_{p in W} d(p, C). Returns 0 for an empty window and +inf for
-/// a non-empty window with no centers.
+/// a non-empty window with no centers. Builds a CoordinatePool of `window`
+/// and delegates to ClusteringRadiusSoA.
 double ClusteringRadius(const Metric& metric, const std::vector<Point>& window,
                         const std::vector<Point>& centers);
+
+/// The same radius over a window held in `window`: one DistanceSoA row per
+/// center, then a min/max pass. Equals the per-pair d(p, c) loop bit for
+/// bit because the kernels reproduce Distance exactly and the metric is
+/// symmetric.
+double ClusteringRadiusSoA(const Metric& metric,
+                           const CoordinatePool& window,
+                           const std::vector<Point>& centers);
 
 /// For each window point, the index of its closest center (ties to the
 /// lowest index). Requires a non-empty center set.
