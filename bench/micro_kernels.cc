@@ -163,23 +163,22 @@ void BM_HopcroftKarp(benchmark::State& state) {
       if (rng.NextBernoulli(0.2)) graph.AddEdge(l, r);
     }
   }
+  BipartiteMatcher matcher;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MaximumBipartiteMatching(graph));
+    benchmark::DoNotOptimize(matcher.Match(graph).size);
   }
 }
 BENCHMARK(BM_HopcroftKarp)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_CapacitatedMatching(benchmark::State& state) {
   const ColorConstraint constraint = ColorConstraint::Uniform(7, 2);
-  std::vector<std::vector<int>> allowed(14);
+  std::vector<uint8_t> allowed(14 * 7);
   Rng rng(7);
-  for (auto& row : allowed) {
-    for (int c = 0; c < 7; ++c) {
-      if (rng.NextBernoulli(0.5)) row.push_back(c);
-    }
-  }
+  for (uint8_t& cell : allowed) cell = rng.NextBernoulli(0.5);
+  // One matcher across iterations, as the Jones radius search holds one.
+  CapacitatedMatcher matcher(constraint);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MaximumCapacitatedMatching(allowed, constraint));
+    benchmark::DoNotOptimize(matcher.Match(14, allowed).size);
   }
 }
 BENCHMARK(BM_CapacitatedMatching);
@@ -194,7 +193,11 @@ void BM_JonesSolver(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_JonesSolver)->Range(256, 4096)->Complexity(benchmark::oN);
+// Arg(128): the engine's query coresets hold about 100 points.
+BENCHMARK(BM_JonesSolver)
+    ->Arg(128)
+    ->Range(256, 4096)
+    ->Complexity(benchmark::oN);
 
 void BM_ChenSolver(benchmark::State& state) {
   const EuclideanMetric metric;

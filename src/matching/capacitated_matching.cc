@@ -1,51 +1,45 @@
 #include "matching/capacitated_matching.h"
 
 #include "common/logging.h"
-#include "matching/hopcroft_karp.h"
 
 namespace fkc {
 
-CapacitatedMatchingResult MaximumCapacitatedMatching(
-    const std::vector<std::vector<int>>& allowed,
-    const ColorConstraint& constraint) {
-  const int heads = static_cast<int>(allowed.size());
-  const int ell = constraint.ell();
-
+void CapacitatedMatcher::SetConstraint(const ColorConstraint& constraint) {
   // Expand color i into cap(i) identical slots.
-  std::vector<int> slot_offset(ell + 1, 0);
+  const int ell = constraint.ell();
+  slot_offset_.assign(ell + 1, 0);
+  slot_color_.clear();
   for (int i = 0; i < ell; ++i) {
-    slot_offset[i + 1] = slot_offset[i] + constraint.cap(i);
+    slot_offset_[i + 1] = slot_offset_[i] + constraint.cap(i);
+    slot_color_.insert(slot_color_.end(), constraint.cap(i), i);
   }
-  const int total_slots = slot_offset[ell];
+}
 
-  BipartiteGraph graph(heads, total_slots);
+const CapacitatedMatchingResult& CapacitatedMatcher::Match(
+    int heads, const std::vector<uint8_t>& allowed) {
+  const int colors = ell();
+  FKC_CHECK_GE(heads, 0);
+  FKC_CHECK_EQ(allowed.size(), static_cast<size_t>(heads) * colors);
+
+  graph_.Reset(heads, static_cast<int>(slot_color_.size()));
   for (int h = 0; h < heads; ++h) {
-    for (int color : allowed[h]) {
-      FKC_CHECK_GE(color, 0);
-      FKC_CHECK_LT(color, ell);
-      for (int s = slot_offset[color]; s < slot_offset[color + 1]; ++s) {
-        graph.AddEdge(h, s);
+    const uint8_t* row = allowed.data() + static_cast<size_t>(h) * colors;
+    for (int c = 0; c < colors; ++c) {
+      if (row[c] == 0) continue;
+      for (int s = slot_offset_[c]; s < slot_offset_[c + 1]; ++s) {
+        graph_.AddEdge(h, s);
       }
     }
   }
 
-  const MatchingResult matching = MaximumBipartiteMatching(graph);
-
-  CapacitatedMatchingResult result;
-  result.assigned_color.assign(heads, -1);
-  result.size = matching.size;
+  const MatchingResult& matching = matcher_.Match(graph_);
+  result_.assigned_color.assign(heads, -1);
+  result_.size = matching.size;
   for (int h = 0; h < heads; ++h) {
     const int slot = matching.match_left[h];
-    if (slot == -1) continue;
-    // Binary-search-free slot->color lookup: linear over ell (small).
-    for (int i = 0; i < ell; ++i) {
-      if (slot >= slot_offset[i] && slot < slot_offset[i + 1]) {
-        result.assigned_color[h] = i;
-        break;
-      }
-    }
+    if (slot != -1) result_.assigned_color[h] = slot_color_[slot];
   }
-  return result;
+  return result_;
 }
 
 }  // namespace fkc

@@ -1,37 +1,40 @@
 #include "matching/hopcroft_karp.h"
 
+#include <cstddef>
 #include <limits>
-#include <queue>
 
 namespace fkc {
 namespace {
 
 constexpr int kInf = std::numeric_limits<int>::max();
 
+}  // namespace
+
 // Layered BFS from free left vertices; returns true if an augmenting path
-// exists. dist[l] is the BFS layer of left vertex l.
-bool Bfs(const BipartiteGraph& graph, const std::vector<int>& match_left,
-         const std::vector<int>& match_right, std::vector<int>* dist) {
-  std::queue<int> frontier;
+// exists. dist_[l] is the BFS layer of left vertex l.
+bool BipartiteMatcher::Bfs(const BipartiteGraph& graph) {
+  const std::vector<int>& match_left = result_.match_left;
+  const std::vector<int>& match_right = result_.match_right;
+  frontier_.clear();
   for (int l = 0; l < graph.left_size(); ++l) {
     if (match_left[l] == -1) {
-      (*dist)[l] = 0;
-      frontier.push(l);
+      dist_[l] = 0;
+      frontier_.push_back(l);
     } else {
-      (*dist)[l] = kInf;
+      dist_[l] = kInf;
     }
   }
   bool found_augmenting = false;
-  while (!frontier.empty()) {
-    const int l = frontier.front();
-    frontier.pop();
+  // Every left vertex is pushed at most once, so the queue never wraps.
+  for (std::size_t head = 0; head < frontier_.size(); ++head) {
+    const int l = frontier_[head];
     for (int r : graph.Neighbors(l)) {
       const int next = match_right[r];
       if (next == -1) {
         found_augmenting = true;
-      } else if ((*dist)[next] == kInf) {
-        (*dist)[next] = (*dist)[l] + 1;
-        frontier.push(next);
+      } else if (dist_[next] == kInf) {
+        dist_[next] = dist_[l] + 1;
+        frontier_.push_back(next);
       }
     }
   }
@@ -39,39 +42,32 @@ bool Bfs(const BipartiteGraph& graph, const std::vector<int>& match_left,
 }
 
 // DFS along layered edges, flipping matched/unmatched status on success.
-bool Dfs(const BipartiteGraph& graph, int l, std::vector<int>* match_left,
-         std::vector<int>* match_right, std::vector<int>* dist) {
+bool BipartiteMatcher::Dfs(const BipartiteGraph& graph, int l) {
   for (int r : graph.Neighbors(l)) {
-    const int next = (*match_right)[r];
-    if (next == -1 ||
-        ((*dist)[next] == (*dist)[l] + 1 &&
-         Dfs(graph, next, match_left, match_right, dist))) {
-      (*match_left)[l] = r;
-      (*match_right)[r] = l;
+    const int next = result_.match_right[r];
+    if (next == -1 || (dist_[next] == dist_[l] + 1 && Dfs(graph, next))) {
+      result_.match_left[l] = r;
+      result_.match_right[r] = l;
       return true;
     }
   }
-  (*dist)[l] = kInf;  // dead end: prune this vertex for the current phase
+  dist_[l] = kInf;  // dead end: prune this vertex for the current phase
   return false;
 }
 
-}  // namespace
-
-MatchingResult MaximumBipartiteMatching(const BipartiteGraph& graph) {
-  MatchingResult result;
-  result.match_left.assign(graph.left_size(), -1);
-  result.match_right.assign(graph.right_size(), -1);
-
-  std::vector<int> dist(graph.left_size(), kInf);
-  while (Bfs(graph, result.match_left, result.match_right, &dist)) {
-    for (int l = 0; l < graph.left_size(); ++l) {
-      if (result.match_left[l] == -1 &&
-          Dfs(graph, l, &result.match_left, &result.match_right, &dist)) {
-        ++result.size;
-      }
+const MatchingResult& BipartiteMatcher::Match(const BipartiteGraph& graph) {
+  const int left = graph.left_size();
+  result_.match_left.assign(left, -1);
+  result_.match_right.assign(graph.right_size(), -1);
+  result_.size = 0;
+  dist_.assign(left, kInf);
+  frontier_.reserve(left);
+  while (Bfs(graph)) {
+    for (int l = 0; l < left; ++l) {
+      if (result_.match_left[l] == -1 && Dfs(graph, l)) ++result_.size;
     }
   }
-  return result;
+  return result_;
 }
 
 }  // namespace fkc

@@ -24,8 +24,25 @@ struct MatchingResult {
   bool Saturates(int left_count) const { return size == left_count; }
 };
 
-/// Computes a maximum matching of `graph`.
-MatchingResult MaximumBipartiteMatching(const BipartiteGraph& graph);
+/// Computes maximum matchings, reusing its result and scratch buffers across
+/// calls: once they have grown to the largest graph seen, `Match` allocates
+/// nothing. Phases visit left vertices in ascending order, each vertex's
+/// edges in insertion order, and the BFS frontier first-in first-out, so the
+/// matching is a deterministic function of the graph.
+class BipartiteMatcher {
+ public:
+  /// Computes a maximum matching of `graph`. The reference stays valid until
+  /// the next call.
+  const MatchingResult& Match(const BipartiteGraph& graph);
+
+ private:
+  bool Bfs(const BipartiteGraph& graph);
+  bool Dfs(const BipartiteGraph& graph, int l);
+
+  MatchingResult result_;
+  std::vector<int> dist_;      // BFS layer of each left vertex
+  std::vector<int> frontier_;  // BFS queue: frontier_[head..] is pending
+};
 
 }  // namespace fkc
 

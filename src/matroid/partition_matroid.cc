@@ -37,9 +37,13 @@ bool PartitionMatroid::IsIndependent(const std::vector<int>& elements) const {
 
 bool PartitionMatroid::CanAdd(const std::vector<int>& independent_set,
                               int element) const {
+  FKC_CHECK_GE(element, 0);
+  FKC_CHECK_LT(element, GroundSize());
   const int color = element_colors_[element];
   int count = 0;
   for (int e : independent_set) {
+    FKC_CHECK_GE(e, 0);
+    FKC_CHECK_LT(e, GroundSize());
     if (element_colors_[e] == color) ++count;
   }
   return count < constraint_.cap(color);

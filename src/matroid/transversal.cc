@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "common/logging.h"
 #include "matching/hopcroft_karp.h"
 
 namespace fkc {
@@ -13,16 +14,19 @@ bool TransversalMatroid::IsIndependent(const std::vector<int>& elements) const {
   // Restrict the graph to the chosen left vertices and check saturation.
   BipartiteGraph sub(static_cast<int>(elements.size()), graph_.right_size());
   for (size_t i = 0; i < elements.size(); ++i) {
+    FKC_CHECK_GE(elements[i], 0);
+    FKC_CHECK_LT(elements[i], GroundSize());
     for (int r : graph_.Neighbors(elements[i])) {
       sub.AddEdge(static_cast<int>(i), r);
     }
   }
-  return MaximumBipartiteMatching(sub).Saturates(
-      static_cast<int>(elements.size()));
+  BipartiteMatcher matcher;
+  return matcher.Match(sub).Saturates(static_cast<int>(elements.size()));
 }
 
 int TransversalMatroid::Rank() const {
-  return MaximumBipartiteMatching(graph_).size;
+  BipartiteMatcher matcher;
+  return matcher.Match(graph_).size;
 }
 
 }  // namespace fkc

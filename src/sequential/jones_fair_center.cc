@@ -48,10 +48,11 @@ ColorTable BuildColorTable(const std::vector<Point>& points,
 
 // Attempts to match the prefix of heads with insertion distance > 2*rho to
 // color slots using balls of radius rho. On success fills `colors` with the
-// color matched to each prefix head.
+// color matched to each prefix head. `allowed` is the reused head x color
+// table of the probe.
 bool TryRadius(double rho, const GonzalezResult& gonzalez,
-               const ColorTable& table, const ColorConstraint& constraint,
-               std::vector<int>* colors) {
+               const ColorTable& table, CapacitatedMatcher* matcher,
+               std::vector<uint8_t>* allowed, std::vector<int>* colors) {
   // Maximal prefix with delta_j > 2*rho; delta_0 = +inf so the prefix is
   // never empty.
   size_t prefix = 0;
@@ -60,20 +61,18 @@ bool TryRadius(double rho, const GonzalezResult& gonzalez,
     ++prefix;
   }
 
-  std::vector<std::vector<int>> allowed(prefix);
-  for (size_t h = 0; h < prefix; ++h) {
-    for (int c = 0; c < constraint.ell(); ++c) {
-      if (constraint.cap(c) > 0 &&
-          table.nearest_distance[h * table.ell + c] <= rho) {
-        allowed[h].push_back(c);
-      }
-    }
+  // Zero-cap colors own no slots, so the matcher never assigns them.
+  const size_t cells = prefix * table.ell;
+  allowed->resize(cells);
+  for (size_t i = 0; i < cells; ++i) {
+    (*allowed)[i] = table.nearest_distance[i] <= rho;
   }
 
-  CapacitatedMatchingResult matching =
-      MaximumCapacitatedMatching(allowed, constraint);
+  const CapacitatedMatchingResult& matching =
+      matcher->Match(static_cast<int>(prefix), *allowed);
   if (!matching.Saturates(static_cast<int>(prefix))) return false;
-  *colors = std::move(matching.assigned_color);
+  colors->assign(matching.assigned_color.begin(),
+                 matching.assigned_color.end());
   return true;
 }
 
@@ -118,9 +117,13 @@ Result<FairCenterSolution> JonesFairCenter::Solve(
 
   // Feasibility is monotone in rho: binary search for the smallest feasible
   // candidate, keeping the matching of the last feasible probe. That probe
-  // is at the final `hi`, so no re-solve is needed.
+  // is at the final `hi`, so no re-solve is needed. One matcher and one
+  // allowed table serve every probe.
+  CapacitatedMatcher matcher(constraint);
+  std::vector<uint8_t> allowed;
   std::vector<int> colors;
-  if (!TryRadius(candidates.back(), gonzalez, table, constraint, &colors)) {
+  if (!TryRadius(candidates.back(), gonzalez, table, &matcher, &allowed,
+                 &colors)) {
     return Status::Infeasible(
         "no head can be matched to any color with spare capacity");
   }
@@ -129,7 +132,8 @@ Result<FairCenterSolution> JonesFairCenter::Solve(
   std::vector<int> attempt;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (TryRadius(candidates[mid], gonzalez, table, constraint, &attempt)) {
+    if (TryRadius(candidates[mid], gonzalez, table, &matcher, &allowed,
+                  &attempt)) {
       hi = mid;
       colors.swap(attempt);
     } else {

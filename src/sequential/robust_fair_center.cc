@@ -69,16 +69,15 @@ bool TryRobustRadius(const Metric& metric, const std::vector<Point>& points,
       }
     }
   }
-  std::vector<std::vector<int>> allowed(heads.size());
+  std::vector<uint8_t> allowed(heads.size() * ell);
   for (size_t h = 0; h < heads.size(); ++h) {
     for (int c = 0; c < ell; ++c) {
-      if (constraint.cap(c) > 0 && best_index[h][c] != -1) {
-        allowed[h].push_back(c);
-      }
+      allowed[h * ell + c] = best_index[h][c] != -1;
     }
   }
-  const CapacitatedMatchingResult matching =
-      MaximumCapacitatedMatching(allowed, constraint);
+  CapacitatedMatcher matcher(constraint);
+  const CapacitatedMatchingResult& matching =
+      matcher.Match(static_cast<int>(heads.size()), allowed);
 
   // Unmatched heads are dropped; their points fall into the outlier budget.
   std::vector<Point> centers;

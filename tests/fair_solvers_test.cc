@@ -415,16 +415,15 @@ Result<FairCenterSolution> ReferenceJones(const Metric& metric,
            gonzalez.insertion_distances[prefix] > 2.0 * rho) {
       ++prefix;
     }
-    std::vector<std::vector<int>> allowed(prefix);
+    std::vector<uint8_t> allowed(prefix * ell);
     for (size_t h = 0; h < prefix; ++h) {
       for (int c = 0; c < ell; ++c) {
-        if (constraint.cap(c) > 0 && nearest[h][c] <= rho) {
-          allowed[h].push_back(c);
-        }
+        allowed[h * ell + c] = constraint.cap(c) > 0 && nearest[h][c] <= rho;
       }
     }
+    CapacitatedMatcher matcher(constraint);
     const CapacitatedMatchingResult matching =
-        MaximumCapacitatedMatching(allowed, constraint);
+        matcher.Match(static_cast<int>(prefix), allowed);
     if (!matching.Saturates(static_cast<int>(prefix))) return false;
     centers->clear();
     for (size_t h = 0; h < prefix; ++h) {

@@ -147,6 +147,21 @@ TEST(TransversalMatroidTest, IndependenceByMatchability) {
   EXPECT_EQ(matroid.Rank(), 2);
 }
 
+TEST(PartitionMatroidDeathTest, CanAddChecksElementBounds) {
+  const PartitionMatroid matroid({0, 1}, ColorConstraint({1, 1}));
+  EXPECT_DEATH(matroid.CanAdd({}, 2), "element");
+  EXPECT_DEATH(matroid.CanAdd({}, -1), "element");
+  EXPECT_DEATH(matroid.CanAdd({5}, 0), "GroundSize");
+}
+
+TEST(TransversalMatroidDeathTest, IsIndependentChecksElementBounds) {
+  BipartiteGraph graph(2, 1);
+  graph.AddEdge(0, 0);
+  const TransversalMatroid matroid(std::move(graph));
+  EXPECT_DEATH(matroid.IsIndependent({2}), "GroundSize");
+  EXPECT_DEATH(matroid.IsIndependent({0, -1}), "elements");
+}
+
 TEST(TransversalMatroidTest, SatisfiesAxioms) {
   BipartiteGraph graph(4, 3);
   graph.AddEdge(0, 0);
