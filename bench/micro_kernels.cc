@@ -312,10 +312,13 @@ void BM_UpdateEngineParallel(benchmark::State& state) {
   RunEngineBench(state, static_cast<int>(state.range(0)), /*batched=*/true);
 }
 
-// The query pipeline, sequential ladder scan vs parallel GuessPasses
-// fan-out. The deterministic selection diagnostics (guesses inspected,
-// coreset size) are reported as counters: identical at any thread count by
-// contract, and the CI perf job's most sensitive regression tripwire.
+// The query pipeline on a 1-thread window and on a --threads window. The
+// ladder scan is sequential at any thread count (a parallel GuessPasses
+// fan-out measured slower and was removed); the pooled window still fans
+// its expiry sweep out. The deterministic selection diagnostics (guesses
+// inspected, coreset size) are reported as counters: identical at any
+// thread count by contract, and the CI perf job's most sensitive
+// regression tripwire.
 void RunQueryBench(benchmark::State& state, int num_threads) {
   const auto points = MakePoints(8000, 3, 7);
   CountingMetric counting(&EngineMetric());

@@ -299,45 +299,23 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
     return plan;
   }
 
-  ThreadPool* pool = Pool();
   int inspected = 0;
   for (int attempt = 0;; ++attempt) {
-    // One validation round over the current ladder. The per-guess acceptance
-    // tests are mutually independent and read-only, so they fan out over the
-    // pool; the lowest passing guess is then selected by an ascending scan of
-    // the results, which makes the choice — and `guesses_inspected`, counted
-    // as-if sequential with early exit — identical at any thread count. The
-    // parallel round speculatively validates guesses above the selected one;
-    // that costs extra distance evaluations but no wall time on idle workers.
-    std::vector<GuessStructure*> items;
-    items.reserve(guesses_.size());
-    for (auto& [exponent, guess] : guesses_) items.push_back(&guess);
-
-    int chosen = -1;
-    if (pool != nullptr && items.size() >= 2) {
-      std::vector<unsigned char> passes(items.size(), 0);
-      pool->ParallelFor(static_cast<int64_t>(items.size()), [&](int64_t i) {
-        passes[i] = GuessPasses(*items[i]) ? 1 : 0;
-      });
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (passes[i] != 0) {
-          chosen = static_cast<int>(i);
-          break;
-        }
-      }
-      inspected += chosen >= 0 ? chosen + 1 : static_cast<int>(items.size());
-    } else {
-      for (size_t i = 0; i < items.size(); ++i) {
-        ++inspected;
-        if (GuessPasses(*items[i])) {
-          chosen = static_cast<int>(i);
-          break;
-        }
+    // One validation round over the current ladder: an ascending scan that
+    // stops at the lowest passing guess, so the choice and
+    // `guesses_inspected` depend only on the window state, never on the
+    // thread count.
+    const GuessStructure* chosen = nullptr;
+    for (const auto& [exponent, guess] : guesses_) {
+      ++inspected;
+      if (GuessPasses(guess)) {
+        chosen = &guess;
+        break;
       }
     }
 
-    if (chosen >= 0) {
-      const GuessStructure& guess = *items[chosen];
+    if (chosen != nullptr) {
+      const GuessStructure& guess = *chosen;
       plan.coreset = guess.CoresetPoints();
       plan.stats.guess = guess.gamma();
       plan.stats.coreset_size = static_cast<int64_t>(plan.coreset.size());

@@ -71,9 +71,9 @@ struct SlidingWindowOptions {
   bool warm_start_new_guesses = true;
 
   /// Worker threads for the parallel ladder engine: the per-guess structures
-  /// are mutually independent, so Update/UpdateBatch fan them out across
-  /// this many threads. 1 = fully sequential (no pool is created);
-  /// 0 = hardware concurrency. Results are bit-identical at any value — an
+  /// are mutually independent, so Update/UpdateBatch (and expiry) fan them
+  /// out across this many threads; queries scan the ladder sequentially.
+  /// 1 = fully sequential (no pool is created); 0 = hardware concurrency. Results are bit-identical at any value — an
   /// execution knob, not algorithm state, and deliberately excluded from
   /// SerializeState().
   int num_threads = 1;
@@ -88,7 +88,7 @@ double EpsilonForDelta(double delta, double beta, double alpha);
 
 /// Per-query diagnostics. Every field except `solver_millis` (a wall time)
 /// is deterministic: identical state produces identical values at any thread
-/// count, parallel or sequential query path alike.
+/// count.
 struct QueryStats {
   double guess = 0.0;          ///< the selected gamma-hat
   int64_t coreset_size = 0;    ///< points handed to the sequential solver
@@ -99,8 +99,8 @@ struct QueryStats {
 /// The resolved front half of a query (Algorithm 3's guess selection): the
 /// coreset to hand to a sequential solver plus the selection diagnostics.
 /// Query, QueryRobust, and any future query mode run their solver on one
-/// shared plan, so every mode inherits the parallel ladder validation and
-/// the deterministic guess choice for free.
+/// shared plan, so every mode inherits the deterministic guess choice for
+/// free.
 struct QueryPlan {
   /// R (full variant) or RV (Corollary-2 variant) of the selected guess;
   /// empty for an empty window.
@@ -160,12 +160,11 @@ class FairCenterSlidingWindow : public ObjectiveEngine {
 
   /// The guess-selection front half of Algorithm 3, exposed so callers (and
   /// the serving layer) can split selection from solving: expires stale
-  /// points, validates every ladder entry — fanned out over the thread pool
-  /// when one is configured, since the per-guess acceptance tests are
-  /// mutually independent — and deterministically selects the lowest passing
-  /// guess. Returns an empty-coreset plan for an empty window and the latest
-  /// point alone for an all-duplicates window. The result is bit-identical
-  /// to the sequential scan at any thread count.
+  /// points (over the thread pool when one is configured), then scans the
+  /// ladder in ascending order and selects the lowest passing guess,
+  /// stopping there. Returns an empty-coreset plan for an empty window and
+  /// the latest point alone for an all-duplicates window. The result is
+  /// bit-identical at any thread count.
   Result<QueryPlan> PlanQuery();
 
   /// Extension (paper's future-work direction): outlier-tolerant query.

@@ -49,8 +49,8 @@ class KMedianSlidingWindow final : public ObjectiveEngine {
   void Update(Point p) override;
   void UpdateBatch(std::vector<Point> batch) override;
 
-  /// Coreset selection via the substrate's PlanQuery (parallel ladder
-  /// validation, deterministic guess choice), then the deterministic
+  /// Coreset selection via the substrate's PlanQuery (sequential ladder
+  /// scan, deterministic guess choice), then the deterministic
   /// k-median local search with k = constraint().TotalK().
   Result<ObjectiveSolution> QueryObjective(QueryStats* stats = nullptr) override;
 

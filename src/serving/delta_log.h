@@ -11,14 +11,14 @@
 // are expensive) against replay cost and log size.
 //
 // Capture is exactly what the ShardManager's background maintenance thread
-// feeds each tick (MaintenanceOptions::delta_log); a replication transport
+// feeds each tick (MaintenanceOptions::capture); a replication transport
 // would ship base_ and each appended delta to followers. Thread-safe: one
 // internal mutex serializes Capture/Replay/accessors (the manager calls it
 // from the maintenance thread while tests read from the main thread).
 //
 // Under the manager's two-level locking, a Capture runs concurrently with
 // ingest: CheckpointDelta/CheckpointAll are epoch snapshots that pin the
-// shard set under the fleet lock and then serialize one shard lock at a
+// shard set under the routing lock and then serialize one shard lock at a
 // time, so a capture never stalls ingest to unrelated tenants. Each
 // captured shard segment is that shard's state at the moment its lock was
 // taken; arrivals landing after a shard's segment was written leave the
@@ -40,7 +40,25 @@
 namespace fkc {
 namespace serving {
 
-class DeltaLog {
+/// What one capture recorded.
+struct CaptureStats {
+  bool rebased = false;     ///< this capture replaced the base
+  size_t bytes = 0;         ///< bytes appended (delta or new base)
+  size_t chain_length = 0;  ///< deltas in the chain afterwards
+};
+
+/// A log a maintenance tick captures the fleet into
+/// (MaintenanceOptions::capture): DeltaLog in memory, ReplicatedLog
+/// (serving/replication/replicated_log.h) on disk.
+class CaptureSink {
+ public:
+  virtual ~CaptureSink() = default;
+  /// Appends `manager`'s dirty state (or a full re-base) to the log and
+  /// marks the captured shards clean.
+  virtual Result<CaptureStats> Capture(ShardManager* manager) = 0;
+};
+
+class DeltaLog : public CaptureSink {
  public:
   struct Options {
     /// Deltas tolerated in the chain before the next Capture re-bases;
@@ -50,12 +68,7 @@ class DeltaLog {
     int64_t max_chain_bytes = int64_t{1} << 26;  // 64 MiB
   };
 
-  /// What one Capture call recorded.
-  struct CaptureStats {
-    bool rebased = false;   ///< this capture replaced the base
-    size_t bytes = 0;       ///< bytes appended (delta or new base)
-    size_t chain_length = 0;  ///< deltas in the chain afterwards
-  };
+  using CaptureStats = serving::CaptureStats;
 
   DeltaLog();  ///< default Options
   explicit DeltaLog(Options options);
@@ -70,7 +83,7 @@ class DeltaLog {
   /// must not also serve direct CheckpointDelta/CheckpointAll callers, or
   /// the log's deltas will silently omit whatever those calls marked clean
   /// (Replay then reproduces a stale fleet until the next re-base).
-  Result<CaptureStats> Capture(ShardManager* manager);
+  Result<CaptureStats> Capture(ShardManager* manager) override;
 
   /// Replays the log: Restore(base), then ApplyDelta for each chained
   /// delta in order. kFailedPrecondition before the first Capture. The

@@ -54,7 +54,7 @@
 namespace fkc {
 namespace serving {
 
-class ReplicatedLog {
+class ReplicatedLog : public CaptureSink {
  public:
   struct Options {
     /// Chain budgets, as in DeltaLog::Options: exceeding either makes the
@@ -97,7 +97,7 @@ class ReplicatedLog {
   /// were already consumed by CheckpointDelta, so the full re-base is what
   /// guarantees the lost delta's changes still reach the log. The same
   /// single-consumer dirty-bit rule as DeltaLog applies.
-  Result<DeltaLog::CaptureStats> Capture(ShardManager* manager);
+  Result<DeltaLog::CaptureStats> Capture(ShardManager* manager) override;
 
   /// Follower-side appends (the LogReceiver persisting what it applied).
   /// AppendBase opens `generation` (replacing any current chain, retiring

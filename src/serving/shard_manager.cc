@@ -1,6 +1,5 @@
 #include "serving/shard_manager.h"
 
-#include <algorithm>
 #include <cmath>
 #include <condition_variable>
 #include <sstream>
@@ -12,7 +11,6 @@
 #include "common/string_util.h"
 #include "core/options_io.h"
 #include "serving/delta_log.h"
-#include "serving/replication/replicated_log.h"
 
 namespace fkc {
 namespace serving {
@@ -140,18 +138,6 @@ class ShardManager::FleetPin {
   const std::vector<PinnedShard>* pinned_;
 };
 
-int ShardManager::ResolveStripeCount(int requested) {
-  // Auto scales past the core count so hash collisions between concurrently
-  // hot keys are rare even with every hardware thread routing at once.
-  int64_t n = requested <= 0
-                  ? static_cast<int64_t>(4) * ThreadPool::HardwareThreads()
-                  : requested;
-  if (n > 256) n = 256;
-  int resolved = 1;
-  while (resolved < n) resolved <<= 1;  // round UP; 256 is itself a power
-  return resolved;
-}
-
 ShardManager::ShardManager(ShardManagerOptions options,
                            ColorConstraint constraint, const Metric* metric,
                            const FairCenterSolver* solver)
@@ -159,6 +145,7 @@ ShardManager::ShardManager(ShardManagerOptions options,
       constraint_(std::move(constraint)),
       metric_(metric),
       solver_(solver),
+      routing_(std::make_unique<Routing>()),
       gc_mu_(std::make_unique<std::mutex>()),
       maintenance_admin_mu_(std::make_unique<std::mutex>()) {
   FKC_CHECK(metric_ != nullptr);
@@ -169,14 +156,6 @@ ShardManager::ShardManager(ShardManagerOptions options,
   options_.window.num_threads = 1;
   if (options_.spill_store == nullptr) {
     options_.spill_store = std::make_shared<InMemorySpillStore>();
-  }
-  // Stripe count is fixed for the manager's lifetime (StripeOf must be a
-  // pure function of the key); the resolved value is written back so
-  // options().num_stripes reports what actually runs.
-  options_.num_stripes = ResolveStripeCount(options_.num_stripes);
-  stripes_.reserve(options_.num_stripes);
-  for (int i = 0; i < options_.num_stripes; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
   }
   // Resolve and build the pool eagerly: concurrent fan-outs must never race
   // a lazy construction. num_threads = 0 on a single-core host resolves to
@@ -223,7 +202,7 @@ ShardManager::ShardManager(ShardManager&& other) noexcept
       constraint_(std::move(other.constraint_)),
       metric_(other.metric_),
       solver_(other.solver_),
-      stripes_(std::move(other.stripes_)),
+      routing_(std::move(other.routing_)),
       gc_mu_(std::move(other.gc_mu_)),
       live_count_(other.live_count_.load()),
       pool_(std::move(other.pool_)),
@@ -254,7 +233,7 @@ ShardManager& ShardManager::operator=(ShardManager&& other) noexcept {
   constraint_ = std::move(other.constraint_);
   metric_ = other.metric_;
   solver_ = other.solver_;
-  stripes_ = std::move(other.stripes_);
+  routing_ = std::move(other.routing_);
   gc_mu_ = std::move(other.gc_mu_);
   live_count_.store(other.live_count_.load());
   pool_ = std::move(other.pool_);
@@ -273,13 +252,6 @@ ShardManager& ShardManager::operator=(ShardManager&& other) noexcept {
               return maintenance_->exited;
             }());
   return *this;
-}
-
-ShardManager::Stripe& ShardManager::StripeOf(const std::string& key) const {
-  // The stripe count is a power of two fixed at construction, so routing is
-  // a hash + mask — no lock, no modulo.
-  const size_t h = std::hash<std::string>{}(key);
-  return *stripes_[h & (stripes_.size() - 1)];
 }
 
 bool ShardManager::IsDirty(const Shard& shard) const {
@@ -326,45 +298,40 @@ Status ShardManager::ValidateArrival(const std::string& key, const Point& p,
   return Status::OK();
 }
 
-int64_t ShardManager::PinnedDimensionLocked(const Stripe& stripe,
-                                            const std::string& key) const {
-  auto it = stripe.shards.find(key);
-  return it == stripe.shards.end() ? -1 : it->second.dim;
+int64_t ShardManager::PinnedDimensionLocked(const std::string& key) const {
+  auto it = routing_->shards.find(key);
+  return it == routing_->shards.end() ? -1 : it->second.dim;
 }
 
-SlidingWindowOptions ShardManager::OptionsForKey(const Stripe& stripe,
-                                                 const std::string& key) const {
-  auto it = stripe.overrides.find(key);
+SlidingWindowOptions ShardManager::OptionsForKey(const std::string& key) const {
+  auto it = routing_->overrides.find(key);
   SlidingWindowOptions options =
-      it == stripe.overrides.end() ? options_.window : it->second;
+      it == routing_->overrides.end() ? options_.window : it->second;
   options.num_threads = 1;
   return options;
 }
 
-ObjectiveKind ShardManager::ObjectiveForKey(const Stripe& stripe,
-                                            const std::string& key) const {
-  auto it = stripe.objective_overrides.find(key);
-  return it == stripe.objective_overrides.end() ? options_.objective
-                                                : it->second;
+ObjectiveKind ShardManager::ObjectiveForKey(const std::string& key) const {
+  auto it = routing_->objective_overrides.find(key);
+  return it == routing_->objective_overrides.end() ? options_.objective
+                                                   : it->second;
 }
 
-ShardManager::Shard* ShardManager::RouteLocked(Stripe& stripe,
-                                               const std::string& key,
+ShardManager::Shard* ShardManager::RouteLocked(const std::string& key,
                                                bool create_missing,
                                                int64_t touch) {
-  auto it = stripe.shards.find(key);
-  if (it == stripe.shards.end()) {
+  auto it = routing_->shards.find(key);
+  if (it == routing_->shards.end()) {
     if (!create_missing) return nullptr;
-    it = stripe.shards.try_emplace(key).first;
-    it->second.kind = ObjectiveForKey(stripe, key);
-    it->second.live =
-        CreateObjectiveEngine(it->second.kind, OptionsForKey(stripe, key),
-                              constraint_, metric_, solver_);
+    it = routing_->shards.try_emplace(key).first;
+    it->second.kind = ObjectiveForKey(key);
+    it->second.live = CreateObjectiveEngine(
+        it->second.kind, OptionsForKey(key), constraint_, metric_, solver_);
     live_count_.fetch_add(1, std::memory_order_relaxed);
   }
   Shard* shard = &it->second;
   if (shard->live != nullptr) {
-    TouchLive(stripe, it->first, shard, touch);
+    TouchLive(it->first, shard, touch);
   } else {
     // Spilled: refresh last_touch only — the LRU index tracks live shards.
     // If a later rehydration commits, it inserts this value.
@@ -395,8 +362,7 @@ Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
         "spilled shard's constraint does not match the fleet constraint");
   }
   {
-    Stripe& stripe = StripeOf(key);
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+    std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
     // The blob's own magic must agree with the objective this shard was
     // created under — a store handing back another objective's state is
     // corruption (or another fleet's entry), not a valid rehydration.
@@ -418,7 +384,7 @@ Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
     shard->spill_dirty = false;
     live_count_.fetch_add(1, std::memory_order_relaxed);
     rehydrations_.fetch_add(1, std::memory_order_relaxed);
-    stripe.live_lru.insert({shard->last_touch, key});
+    routing_->live_lru.insert({shard->last_touch, key});
   }
   // Best-effort, still under the shard lock (so a concurrent QueryAll
   // cannot read a half-erased entry): a failed erase only leaves a stale
@@ -428,40 +394,44 @@ Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
   return Status::OK();
 }
 
-void ShardManager::TouchLive(Stripe& stripe, const std::string& key,
-                             Shard* shard, int64_t touch) {
+void ShardManager::TouchLive(const std::string& key, Shard* shard,
+                             int64_t touch) {
   // The erase is a no-op for a shard that just became live (its old
   // last_touch was removed from the index when it spilled, or never
   // inserted for a brand-new shard).
-  stripe.live_lru.erase({shard->last_touch, key});
+  routing_->live_lru.erase({shard->last_touch, key});
   shard->last_touch = touch;
-  stripe.live_lru.insert({touch, key});
+  routing_->live_lru.insert({touch, key});
+}
+
+void ShardManager::Unpin(Shard* shard) {
+  std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
+  --shard->pins;
 }
 
 Result<ShardManager::SpillAttempt> ShardManager::TrySpillShard(
     const std::string& key, int64_t idle_ttl) {
-  Stripe& stripe = StripeOf(key);
-  std::unique_lock<std::shared_mutex> stripe_lock(stripe.mu);
-  auto it = stripe.shards.find(key);
-  if (it == stripe.shards.end()) return SpillAttempt::kSkipped;
+  std::unique_lock<std::shared_mutex> routing_lock(routing_->mu);
+  auto it = routing_->shards.find(key);
+  if (it == routing_->shards.end()) return SpillAttempt::kSkipped;
   Shard* shard = &it->second;
   if (shard->live == nullptr || shard->pins > 0) return SpillAttempt::kSkipped;
-  // Re-check idleness under the stripe lock: the shard may have been
+  // Re-check idleness under the routing lock: the shard may have been
   // touched between the caller's candidate snapshot and now.
   if (idle_ttl >= 0 &&
       clock_.load(std::memory_order_relaxed) - shard->last_touch <= idle_ttl) {
     return SpillAttempt::kSkipped;
   }
-  // Only ever try_lock a shard mutex under a stripe lock (lock-order
+  // Only ever try_lock a shard mutex under the routing lock (lock-order
   // protocol): a busy shard is mid-ingest or mid-query — skip it, the
   // next sweep catches it.
   std::unique_lock<std::mutex> shard_lock(shard->mu, std::try_to_lock);
   if (!shard_lock.owns_lock()) return SpillAttempt::kSkipped;
   const bool dirty = IsDirty(*shard);
   ObjectiveEngine* window = shard->live.get();
-  stripe_lock.unlock();
+  routing_lock.unlock();
 
-  // Serialize and write outside the stripe lock (the shard lock keeps the
+  // Serialize and write outside the routing lock (the shard lock keeps the
   // window stable). The GC mutex spans the write and the commit so a
   // concurrent GarbageCollectSpill, whose keep-set predates this spill,
   // can never reap the blob just written.
@@ -477,19 +447,19 @@ Result<ShardManager::SpillAttempt> ShardManager::TrySpillShard(
                  options_.spill_store->Name() + " spill store");
   }
 
-  stripe_lock.lock();
+  routing_lock.lock();
   if (shard->pins > 0) {
     // A fleet read pinned the shard while the blob was being written; the
     // reader expects live shards to stay live, so abort the spill and drop
     // the just-written entry (best-effort — GC would sweep it anyway).
-    stripe_lock.unlock();
+    routing_lock.unlock();
     options_.spill_store->Erase(key);
     return SpillAttempt::kSkipped;
   }
   shard->spill_dirty = dirty;
   shard->live.reset();
   shard->clean_epoch = kNeverCheckpointed;
-  stripe.live_lru.erase({shard->last_touch, key});
+  routing_->live_lru.erase({shard->last_touch, key});
   live_count_.fetch_sub(1, std::memory_order_relaxed);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   return SpillAttempt::kSpilled;
@@ -497,13 +467,11 @@ Result<ShardManager::SpillAttempt> ShardManager::TrySpillShard(
 
 void ShardManager::EnforceLiveCap(const std::string* exclude) {
   if (options_.max_live_shards <= 0) return;
-  // Best-effort loop: each round picks the fleet-wide LRU victim — the
-  // minimum of the stripes' eligible LRU fronts, least recently touched
-  // with ties broken by smaller key, the same deterministic global order
-  // the unstriped index had — and attempts the spill without any lock
-  // held. Victims whose attempt failed are not retried, so the loop always
-  // terminates; pinned shards are skipped but stay eligible for later
-  // rounds (their pin is transient).
+  // Best-effort loop: each round picks the LRU victim — the first eligible
+  // entry of the (touch, key)-ordered index — and attempts the spill
+  // without any lock held. Victims whose attempt failed are not retried,
+  // so the loop always terminates; pinned shards are skipped but stay
+  // eligible for later rounds (their pin is transient).
   std::set<std::string> attempted;
   for (;;) {
     if (live_count_.load(std::memory_order_relaxed) <=
@@ -511,24 +479,21 @@ void ShardManager::EnforceLiveCap(const std::string* exclude) {
       return;
     }
     bool found = false;
-    std::pair<int64_t, std::string> best;
-    for (const auto& stripe : stripes_) {
-      std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-      for (const auto& entry : stripe->live_lru) {
-        const std::string& key = entry.second;
+    std::string victim;
+    {
+      std::shared_lock<std::shared_mutex> routing_lock(routing_->mu);
+      for (const auto& [touch, key] : routing_->live_lru) {
         if (exclude != nullptr && key == *exclude) continue;
         if (attempted.count(key) != 0) continue;
-        if (stripe->shards.find(key)->second.pins > 0) continue;
-        if (!found || entry < best) {
-          best = entry;
-          found = true;
-        }
-        break;  // stripe fronts are sorted: the first eligible is its best
+        if (routing_->shards.find(key)->second.pins > 0) continue;
+        victim = key;
+        found = true;
+        break;
       }
     }
     if (!found) return;  // everything left is excluded, pinned, or failed
-    attempted.insert(best.second);
-    auto spilled = TrySpillShard(best.second, /*idle_ttl=*/-1);
+    attempted.insert(victim);
+    auto spilled = TrySpillShard(victim, /*idle_ttl=*/-1);
     if (!spilled.ok()) {
       // Spill backend down: the cap is enforced best-effort until the
       // backend recovers. Nothing is lost.
@@ -540,69 +505,43 @@ void ShardManager::EnforceLiveCap(const std::string* exclude) {
 std::vector<ShardManager::PinnedShard> ShardManager::PinFleet(
     std::map<std::string, SlidingWindowOptions>* overrides_out,
     std::map<std::string, ObjectiveKind>* objectives_out) {
-  // All stripe locks at once, taken in ascending index order (the one
-  // sanctioned multi-stripe acquisition), so the snapshot is a consistent
-  // cut of the routing layer: every shard that existed before the call is
-  // pinned, and the override table travels with exactly that shard set.
-  std::vector<std::unique_lock<std::shared_mutex>> held;
-  held.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) held.emplace_back(stripe->mu);
+  // One routing-lock hold, so the snapshot is a consistent cut of the
+  // routing layer: every shard that existed before the call is pinned, and
+  // the override tables travel with exactly that shard set. The map yields
+  // ascending key order, which checkpoint byte-equality rests on.
+  std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
   std::vector<PinnedShard> pinned;
-  size_t total = 0;
-  for (const auto& stripe : stripes_) total += stripe->shards.size();
-  pinned.reserve(total);
-  if (overrides_out != nullptr) overrides_out->clear();
-  if (objectives_out != nullptr) objectives_out->clear();
-  for (const auto& stripe : stripes_) {
-    for (auto& [key, shard] : stripe->shards) {
-      ++shard.pins;
-      pinned.push_back(PinnedShard{&key, &shard, stripe.get()});
-    }
-    if (overrides_out != nullptr) {
-      overrides_out->insert(stripe->overrides.begin(),
-                            stripe->overrides.end());
-    }
-    if (objectives_out != nullptr) {
-      objectives_out->insert(stripe->objective_overrides.begin(),
-                             stripe->objective_overrides.end());
-    }
+  pinned.reserve(routing_->shards.size());
+  for (auto& [key, shard] : routing_->shards) {
+    ++shard.pins;
+    pinned.push_back(PinnedShard{&key, &shard});
   }
-  held.clear();  // release every stripe before the (possibly long) visit
-  // Ascending key order across stripes — the exact order the unstriped map
-  // yielded, which checkpoint byte-equality at every stripe count rests on.
-  std::sort(pinned.begin(), pinned.end(),
-            [](const PinnedShard& a, const PinnedShard& b) {
-              return *a.key < *b.key;
-            });
+  if (overrides_out != nullptr) *overrides_out = routing_->overrides;
+  if (objectives_out != nullptr) {
+    *objectives_out = routing_->objective_overrides;
+  }
   return pinned;
 }
 
 void ShardManager::UnpinFleet(const std::vector<PinnedShard>& pinned) {
   if (pinned.empty()) return;
-  // Same ascending all-stripes hold as PinFleet; one acquisition per
-  // stripe instead of one per shard.
-  std::vector<std::unique_lock<std::shared_mutex>> held;
-  held.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) held.emplace_back(stripe->mu);
+  std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
   for (const PinnedShard& entry : pinned) --entry.shard->pins;
 }
 
 Status ShardManager::Ingest(const std::string& key, Point p) {
-  Stripe& stripe = StripeOf(key);
   Shard* shard = nullptr;
   {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    // Validate and route in ONE stripe critical section, and pin the
+    std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
+    // Validate and route in ONE routing critical section, and pin the
     // dimension at routing time: two first arrivals racing on a fresh key
     // with different dimensions must resolve to first-writer-wins, the
     // loser rejected here instead of CHECK-aborting in the window.
-    FKC_RETURN_IF_ERROR(
-        ValidateArrival(key, p, PinnedDimensionLocked(stripe, key)));
+    FKC_RETURN_IF_ERROR(ValidateArrival(key, p, PinnedDimensionLocked(key)));
     const int64_t tick = clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    shard = RouteLocked(stripe, key, /*create_missing=*/true, tick);
+    shard = RouteLocked(key, /*create_missing=*/true, tick);
     shard->dim = static_cast<int64_t>(p.dimension());
     ++shard->pins;
-    ++stripe.ops;
   }
   Status status;
   {
@@ -610,10 +549,7 @@ Status ShardManager::Ingest(const std::string& key, Point p) {
     status = EnsureLiveHeld(key, shard);
     if (status.ok()) shard->live->Update(std::move(p));
   }
-  {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    --shard->pins;
-  }
+  Unpin(shard);
   EnforceLiveCap(&key);
   return status;
 }
@@ -622,12 +558,12 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
   if (batch.empty()) return Status::OK();
   const int64_t n = static_cast<int64_t>(batch.size());
   // Reserve the whole batch's clock range up front: arrival i owns tick
-  // base + i + 1 whichever thread groups it, so LRU order and TTL
-  // bookkeeping are identical run to run (and to the serial build) no
-  // matter how the per-stripe grouping below interleaves. The flip side:
-  // an arrival dropped by validation still consumes its tick (Ingest,
-  // which validates before ticking, consumes none) — documented in the
-  // header; the clock is an ordering device, not checkpointed state.
+  // base + i + 1, so LRU order and TTL bookkeeping are identical run to
+  // run (and to the serial build) however concurrent batches interleave.
+  // The flip side: an arrival dropped by validation still consumes its
+  // tick (Ingest, which validates before ticking, consumes none) —
+  // documented in the header; the clock is an ordering device, not
+  // checkpointed state.
   const int64_t base = clock_.fetch_add(n, std::memory_order_relaxed);
 
   // One per-shard group: arrival order preserved within the key (the only
@@ -642,83 +578,50 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
     Shard* shard = nullptr;
     Status status;  ///< the group's ingest outcome
   };
-  // Per-stripe slice of the batch; groups/validates under only its own
-  // stripe's lock, so disjoint stripes never serialize on each other.
-  struct StripeBatch {
-    Stripe* stripe = nullptr;
-    std::vector<int64_t> indices;  ///< into batch, ascending
-    std::map<std::string, Group> groups;
-    int64_t dropped = 0;
-    Status first_error;
-    int64_t first_error_index = -1;  ///< original batch position
-  };
+  std::map<std::string, Group> groups;
+  int64_t dropped = 0;
+  Status first_error = Status::OK();  // earliest offender by position
 
-  // Phase 1: partition by stripe, lock-free (StripeOf is a pure hash).
-  const size_t mask = stripes_.size() - 1;
-  std::vector<std::vector<int64_t>> indices_by_stripe(stripes_.size());
-  for (int64_t i = 0; i < n; ++i) {
-    indices_by_stripe[std::hash<std::string>{}(batch[i].key) & mask]
-        .push_back(i);
-  }
-  std::vector<StripeBatch> stripe_work;
-  for (size_t s = 0; s < stripes_.size(); ++s) {
-    if (indices_by_stripe[s].empty()) continue;
-    StripeBatch sb;
-    sb.stripe = stripes_[s].get();
-    sb.indices = std::move(indices_by_stripe[s]);
-    stripe_work.push_back(std::move(sb));
-  }
-
-  // Phase 2: group + validate + route + pin WITHIN each stripe,
-  // concurrently over the pool. Each task holds exactly its own stripe's
-  // lock; validation and dimension pinning happen in the same critical
-  // section that creates the shard, so a racing batch on the same fresh
-  // key validates against the dimension pinned here.
-  auto group_stripe = [&](int64_t w) {
-    StripeBatch& sb = stripe_work[w];
-    std::lock_guard<std::shared_mutex> stripe_lock(sb.stripe->mu);
-    for (int64_t i : sb.indices) {
+  // One pass under the routing lock: group, validate, route and pin.
+  // Validation and dimension pinning happen in the same critical section
+  // that creates the shard, so a racing batch on the same fresh key
+  // validates against the dimension pinned here.
+  {
+    std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
+    for (int64_t i = 0; i < n; ++i) {
       KeyedPoint& kp = batch[i];
       // For a key already accepted earlier in this batch the group carries
       // the pinned dimension (a brand-new shard has none on record yet).
-      auto git = sb.groups.find(kp.key);
-      const int64_t pinned = git != sb.groups.end()
+      auto git = groups.find(kp.key);
+      const int64_t pinned = git != groups.end()
                                  ? git->second.dim
-                                 : PinnedDimensionLocked(*sb.stripe, kp.key);
+                                 : PinnedDimensionLocked(kp.key);
       Status status = ValidateArrival(kp.key, kp.point, pinned);
       if (!status.ok()) {
-        ++sb.dropped;
-        if (sb.first_error_index < 0) {
-          sb.first_error = std::move(status);
-          sb.first_error_index = i;
-        }
+        if (dropped++ == 0) first_error = std::move(status);
         continue;
       }
-      if (git == sb.groups.end()) git = sb.groups.try_emplace(kp.key).first;
+      if (git == groups.end()) git = groups.try_emplace(kp.key).first;
       Group& group = git->second;
       group.dim = static_cast<int64_t>(kp.point.dimension());
       group.points.push_back(std::move(kp.point));
       ++group.size;
       group.last_clock = base + i + 1;
     }
-    for (auto& [key, group] : sb.groups) {
+    for (auto& [key, group] : groups) {
       group.key = &key;
-      group.shard = RouteLocked(*sb.stripe, key, /*create_missing=*/true,
+      group.shard = RouteLocked(key, /*create_missing=*/true,
                                 group.last_clock);
       group.shard->dim = group.dim;
       ++group.shard->pins;
     }
-    sb.stripe->ops += static_cast<int64_t>(sb.groups.size());
-  };
-  FanOut(static_cast<int64_t>(stripe_work.size()), group_stripe);
-
-  // Phase 3: fan the per-shard groups out over the pool. Each task blocks
-  // only on its own shard's lock (held by nobody else routing a disjoint
-  // key set).
-  std::vector<Group*> work;
-  for (StripeBatch& sb : stripe_work) {
-    for (auto& [key, group] : sb.groups) work.push_back(&group);
   }
+
+  // Fan the per-shard groups out over the pool. Each task blocks only on
+  // its own shard's lock (held by nobody else routing a disjoint key set).
+  std::vector<Group*> work;
+  work.reserve(groups.size());
+  for (auto& [key, group] : groups) work.push_back(&group);
   FanOut(static_cast<int64_t>(work.size()), [&](int64_t i) {
     Group* group = work[i];
     std::lock_guard<std::mutex> shard_lock(group->shard->mu);
@@ -728,32 +631,19 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
     }
   });
 
-  // Phase 4: unpin per stripe and merge the accounting. The earliest
-  // validation offender (by original batch position) wins the reported
-  // error; failed groups use the size recorded at grouping time — the
-  // points vector is unreliable after the std::move above.
-  int64_t dropped = 0;
-  Status first_error = Status::OK();
-  int64_t first_error_index = n;
-  for (StripeBatch& sb : stripe_work) {
-    {
-      std::lock_guard<std::shared_mutex> stripe_lock(sb.stripe->mu);
-      for (auto& [key, group] : sb.groups) --group.shard->pins;
-    }
-    dropped += sb.dropped;
-    if (sb.first_error_index >= 0 && sb.first_error_index < first_error_index) {
-      first_error = std::move(sb.first_error);
-      first_error_index = sb.first_error_index;
-    }
+  // Unpin and merge the accounting. Failed groups use the size recorded
+  // at grouping time — the points vector is unreliable after the
+  // std::move above.
+  {
+    std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
+    for (Group* group : work) --group->shard->pins;
   }
-  for (StripeBatch& sb : stripe_work) {
-    for (auto& [key, group] : sb.groups) {
-      if (!group.status.ok()) {
-        // Rehydration failed: the whole group was dropped (points were
-        // only consumed on success).
-        dropped += group.size;
-        if (first_error.ok()) first_error = group.status;
-      }
+  for (const Group* group : work) {
+    if (!group->status.ok()) {
+      // Rehydration failed: the whole group was dropped (points were only
+      // consumed on success).
+      dropped += group->size;
+      if (first_error.ok()) first_error = group->status;
     }
   }
   EnforceLiveCap(nullptr);
@@ -769,89 +659,80 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
 
 Status ShardManager::SetTenantOptions(const std::string& key,
                                       SlidingWindowOptions options) {
-  Stripe& stripe = StripeOf(key);
-  std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+  std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
   if (key.size() >= kMaxKeyBytes) {
     return Status::InvalidArgument("tenant key exceeds the size limit");
   }
   FKC_RETURN_IF_ERROR(ValidateSlidingWindowOptions(options));
-  if (stripe.shards.count(key) != 0) {
+  if (routing_->shards.count(key) != 0) {
     return Status::FailedPrecondition(
         "shard '" + key + "' already exists; options are fixed at creation");
   }
   options.num_threads = 1;
   if (SameCheckpointedOptions(options, options_.window)) {
-    stripe.overrides.erase(key);  // identical to the template: no store
+    routing_->overrides.erase(key);  // identical to the template: no store
   } else {
-    stripe.overrides[key] = options;
+    routing_->overrides[key] = options;
   }
   return Status::OK();
 }
 
 const SlidingWindowOptions* ShardManager::TenantOptions(
     const std::string& key) const {
-  Stripe& stripe = StripeOf(key);
-  std::shared_lock<std::shared_mutex> stripe_lock(stripe.mu);
-  auto it = stripe.overrides.find(key);
-  return it == stripe.overrides.end() ? nullptr : &it->second;
+  std::shared_lock<std::shared_mutex> routing_lock(routing_->mu);
+  auto it = routing_->overrides.find(key);
+  return it == routing_->overrides.end() ? nullptr : &it->second;
 }
 
 Status ShardManager::SetTenantObjective(const std::string& key,
                                         ObjectiveKind objective) {
-  Stripe& stripe = StripeOf(key);
-  std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+  std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
   if (key.size() >= kMaxKeyBytes) {
     return Status::InvalidArgument("tenant key exceeds the size limit");
   }
-  if (stripe.shards.count(key) != 0) {
+  if (routing_->shards.count(key) != 0) {
     return Status::FailedPrecondition("shard '" + key +
                                       "' already exists; its objective is "
                                       "fixed at creation");
   }
   if (objective == options_.objective) {
-    stripe.objective_overrides.erase(key);  // same as the default: no store
+    routing_->objective_overrides.erase(key);  // same as the default
   } else {
-    stripe.objective_overrides[key] = objective;
+    routing_->objective_overrides[key] = objective;
   }
   return Status::OK();
 }
 
 ObjectiveKind ShardManager::TenantObjective(const std::string& key) const {
-  Stripe& stripe = StripeOf(key);
-  std::shared_lock<std::shared_mutex> stripe_lock(stripe.mu);
-  return ObjectiveForKey(stripe, key);
+  std::shared_lock<std::shared_mutex> routing_lock(routing_->mu);
+  return ObjectiveForKey(key);
 }
 
 Result<ObjectiveSolution> ShardManager::Query(const std::string& key,
                                               QueryStats* stats) {
-  Stripe& stripe = StripeOf(key);
   Shard* shard = nullptr;
   {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    shard = RouteLocked(stripe, key, /*create_missing=*/false,
+    std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
+    shard = RouteLocked(key, /*create_missing=*/false,
                         clock_.load(std::memory_order_relaxed));
     if (shard == nullptr) {
       return Status::NotFound("no shard for key '" + key + "'");
     }
     ++shard->pins;
-    ++stripe.ops;
   }
   Result<ObjectiveSolution> result = [&]() -> Result<ObjectiveSolution> {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     FKC_RETURN_IF_ERROR(EnsureLiveHeld(key, shard));
     return shard->live->QueryObjective(stats);
   }();
-  {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    --shard->pins;
-  }
+  Unpin(shard);
   EnforceLiveCap(&key);
   return result;
 }
 
 std::vector<ShardAnswer> ShardManager::QueryAll() {
-  // Epoch snapshot: pin the current shard set under one all-stripes
-  // acquisition, then answer shard by shard under per-shard locks only —
+  // Epoch snapshot: pin the current shard set under one routing-lock
+  // hold, then answer shard by shard under per-shard locks only —
   // ingest to unrelated shards proceeds throughout the round.
   std::vector<PinnedShard> pinned = PinFleet();
   FleetPin unpin(this, &pinned);
@@ -902,22 +783,20 @@ std::vector<ShardAnswer> ShardManager::QueryAll() {
 int64_t ShardManager::EvictIdle(int64_t idle_ttl, Status* spill_status) {
   if (spill_status != nullptr) *spill_status = Status::OK();
   if (idle_ttl < 0) return 0;
-  // Each stripe's LRU index orders its live shards by last_touch, so the
-  // idle ones are exactly its prefix — snapshot those per stripe (one
-  // stripe lock at a time), merge into the global (touch, key) order the
-  // unstriped sweep had, then spill without any lock held. TrySpillShard
-  // re-checks idleness (and pins, and the lock) per victim, so a candidate
-  // touched after the snapshot is simply skipped.
+  // The LRU index orders live shards by last_touch, so the idle ones are
+  // exactly its prefix — snapshot that under the routing lock, then spill
+  // without any lock held. TrySpillShard re-checks idleness (and pins, and
+  // the lock) per victim, so a candidate touched after the snapshot is
+  // simply skipped.
   const int64_t now = clock_.load(std::memory_order_relaxed);
   std::vector<std::pair<int64_t, std::string>> candidates;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    for (const auto& [touch, key] : stripe->live_lru) {
+  {
+    std::shared_lock<std::shared_mutex> routing_lock(routing_->mu);
+    for (const auto& [touch, key] : routing_->live_lru) {
       if (now - touch <= idle_ttl) break;
       candidates.emplace_back(touch, key);
     }
   }
-  std::sort(candidates.begin(), candidates.end());
   int64_t evicted = 0;
   for (const auto& [touch, key] : candidates) {
     auto attempt = TrySpillShard(key, idle_ttl);
@@ -932,11 +811,11 @@ int64_t ShardManager::EvictIdle(int64_t idle_ttl, Status* spill_status) {
 }
 
 Result<std::string> ShardManager::CheckpointSnapshot(bool dirty_only) {
-  // Pin set and override table under ONE all-stripes acquisition, so the
-  // table travels with the shard set it was snapshotted beside. The merged
-  // override map and the key-sorted pin vector reproduce exactly the
-  // iteration order of the unstriped (or serially built) fleet — the
-  // byte-equality contract at every stripe count.
+  // Pin set and override table under ONE routing-lock hold, so the table
+  // travels with the shard set it was snapshotted beside. Both are in
+  // ascending key order whatever order the fleet was built in — the
+  // contract that a concurrently built fleet checkpoints byte-equal to a
+  // serially built one.
   std::map<std::string, SlidingWindowOptions> overrides;
   std::map<std::string, ObjectiveKind> objectives;
   std::vector<PinnedShard> pinned = PinFleet(&overrides, &objectives);
@@ -958,8 +837,8 @@ Result<std::string> ShardManager::CheckpointSnapshot(bool dirty_only) {
   }
   if (!dirty_only) {
     // The window template (needed to spawn shards for keys first seen
-    // after a restore). num_threads, num_stripes, max_live_shards, and the
-    // spill store are execution/resource knobs and are deliberately
+    // after a restore). num_threads, max_live_shards, and the spill store
+    // are execution/resource knobs and are deliberately
     // excluded, like in the core checkpoint.
     WriteSlidingWindowOptions(&out, options_.window);
   }
@@ -1033,12 +912,8 @@ Result<std::string> ShardManager::CheckpointDelta() {
 
 size_t ShardManager::dirty_shard_count() const {
   // Shard map entries are never erased, so the snapshot stays valid after
-  // the stripe locks are dropped; dirtiness is then read per shard lock.
-  std::vector<const Shard*> snapshot;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    for (const auto& [key, shard] : stripe->shards) snapshot.push_back(&shard);
-  }
+  // the routing lock is dropped; dirtiness is then read per shard lock.
+  const std::vector<const Shard*> snapshot = ShardSnapshot();
   size_t dirty = 0;
   for (const Shard* shard : snapshot) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
@@ -1116,36 +991,23 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
   }
 
   {
-    // Replace the override tables (options AND objectives) as one unit:
-    // all stripe locks, ascending, then scatter the merged tables into the
-    // per-stripe slices.
-    std::vector<std::unique_lock<std::shared_mutex>> held;
-    held.reserve(stripes_.size());
-    for (const auto& stripe : stripes_) held.emplace_back(stripe->mu);
-    for (const auto& stripe : stripes_) {
-      stripe->overrides.clear();
-      stripe->objective_overrides.clear();
-    }
-    for (auto& [key, opts] : overrides) {
-      StripeOf(key).overrides.emplace(key, std::move(opts));
-    }
-    for (const auto& [key, kind] : objective_overrides) {
-      StripeOf(key).objective_overrides.emplace(key, kind);
-    }
+    // Replace the override tables (options AND objectives) as one unit.
+    std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
+    routing_->overrides = std::move(overrides);
+    routing_->objective_overrides = std::move(objective_overrides);
   }
   // Swap each staged shard in under its own lock: per-shard atomicity (a
   // concurrent QueryAll may see a partially applied delta, never a torn
   // shard), and ingest to untouched tenants proceeds throughout.
   for (auto& [key, engine] : staged) {
-    Stripe& stripe = StripeOf(key);
     Shard* shard = nullptr;
     {
-      std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-      auto it = stripe.shards.find(key);
-      if (it == stripe.shards.end()) {
+      std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
+      auto it = routing_->shards.find(key);
+      if (it == routing_->shards.end()) {
         // A tenant first seen in this delta: build the entry fully formed
-        // under the stripe lock (nobody can hold its shard lock yet).
-        it = stripe.shards.try_emplace(key).first;
+        // under the routing lock (nobody can hold its shard lock yet).
+        it = routing_->shards.try_emplace(key).first;
         Shard* fresh = &it->second;
         fresh->kind = engine->kind();
         fresh->live = std::move(engine);
@@ -1154,8 +1016,7 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
         fresh->clean_epoch = fresh->live->state_epoch();
         fresh->spill_dirty = false;
         live_count_.fetch_add(1, std::memory_order_relaxed);
-        TouchLive(stripe, it->first, fresh,
-                  clock_.load(std::memory_order_relaxed));
+        TouchLive(it->first, fresh, clock_.load(std::memory_order_relaxed));
         continue;
       }
       shard = &it->second;
@@ -1164,7 +1025,7 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     bool was_live;
     {
-      std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+      std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
       was_live = shard->live != nullptr;
       // The kind follows the engine it was validated against above — an
       // objective change for an existing tenant arrives only this way, as
@@ -1175,7 +1036,7 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
       shard->clean_epoch = shard->live->state_epoch();
       shard->spill_dirty = false;
       if (!was_live) live_count_.fetch_add(1, std::memory_order_relaxed);
-      TouchLive(stripe, key, shard, clock_.load(std::memory_order_relaxed));
+      TouchLive(key, shard, clock_.load(std::memory_order_relaxed));
       --shard->pins;
     }
     if (!was_live) {
@@ -1192,7 +1053,7 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
 Result<ShardManager> ShardManager::Restore(
     const std::string& bytes, const Metric* metric,
     const FairCenterSolver* solver, int num_threads, int64_t max_live_shards,
-    std::shared_ptr<SpillStore> spill_store, int num_stripes) {
+    std::shared_ptr<SpillStore> spill_store) {
   CheckpointReader cursor(bytes);
   std::string magic;
   FKC_RETURN_IF_ERROR(cursor.NextToken(&magic));
@@ -1205,7 +1066,6 @@ Result<ShardManager> ShardManager::Restore(
 
   ShardManagerOptions options;
   options.num_threads = num_threads;
-  options.num_stripes = num_stripes;
   options.max_live_shards = max_live_shards;
   options.spill_store = std::move(spill_store);
   // v1/v2 blobs predate the objective layer and restore unchanged, as
@@ -1223,19 +1083,11 @@ Result<ShardManager> ShardManager::Restore(
   // thread until Restore returns, so its members are mutated directly.
   ShardManager manager(options, ColorConstraint(std::move(caps)), metric,
                        solver);
-  if (v2 || v3) {
-    std::map<std::string, SlidingWindowOptions> overrides;
-    FKC_RETURN_IF_ERROR(ReadOverrides(&cursor, &overrides));
-    for (auto& [key, opts] : overrides) {
-      manager.StripeOf(key).overrides.emplace(key, std::move(opts));
-    }
-  }
+  Routing& routing = *manager.routing_;
+  if (v2 || v3) FKC_RETURN_IF_ERROR(ReadOverrides(&cursor, &routing.overrides));
   if (v3) {
-    std::map<std::string, ObjectiveKind> objective_overrides;
-    FKC_RETURN_IF_ERROR(ReadObjectiveOverrides(&cursor, &objective_overrides));
-    for (const auto& [key, kind] : objective_overrides) {
-      manager.StripeOf(key).objective_overrides.emplace(key, kind);
-    }
+    FKC_RETURN_IF_ERROR(
+        ReadObjectiveOverrides(&cursor, &routing.objective_overrides));
   }
 
   int64_t shard_count = 0;
@@ -1262,18 +1114,17 @@ Result<ShardManager> ShardManager::Restore(
       return Status::InvalidArgument(
           "shard constraint does not match the fleet constraint");
     }
-    // Shards carry their mutex, so entries are built in place.
-    Stripe& stripe = manager.StripeOf(key);
     // The blob's own magic must match the objective the checkpoint's own
-    // table (default tag + overrides, scattered above) assigns this
-    // tenant; v1/v2 tables are implicitly all-fair-center. Forged or
-    // swapped segments reject here, never abort.
-    if (engine.value()->kind() != manager.ObjectiveForKey(stripe, key)) {
+    // table (default tag + overrides, read above) assigns this tenant;
+    // v1/v2 tables are implicitly all-fair-center. Forged or swapped
+    // segments reject here, never abort.
+    if (engine.value()->kind() != manager.ObjectiveForKey(key)) {
       return Status::InvalidArgument(
           "shard blob objective does not match the checkpoint's objective "
           "table");
     }
-    auto [pos, inserted] = stripe.shards.try_emplace(std::move(key));
+    // Shards carry their mutex, so entries are built in place.
+    auto [pos, inserted] = routing.shards.try_emplace(std::move(key));
     if (!inserted) {
       return Status::InvalidArgument("duplicate shard key in checkpoint");
     }
@@ -1282,32 +1133,20 @@ Result<ShardManager> ShardManager::Restore(
     shard.live = std::move(engine).value();
     shard.dim = shard.live->dimension();
     shard.clean_epoch = shard.live->state_epoch();  // restored = checkpointed
-    stripe.live_lru.insert({shard.last_touch, pos->first});
+    routing.live_lru.insert({shard.last_touch, pos->first});
     manager.live_count_.fetch_add(1, std::memory_order_relaxed);
     if (max_live_shards <= 0) continue;
     verbatim.emplace(pos->first, std::move(blob));
     // Enforce the cap as shards stream in, not after: a fleet far larger
     // than max_live_shards must never be fully resident at once — that is
     // the exact condition the cap exists to prevent. All last_touch values
-    // are equal here, so the surviving set (the largest keys) matches what
-    // one sweep at the end would keep — the fleet-wide LRU victim is the
-    // minimum of the stripes' LRU fronts, exactly the order the unstriped
-    // index had.
+    // are equal here, so the LRU victim is the smallest key and the
+    // surviving set (the largest keys) matches what one sweep at the end
+    // would keep.
     while (manager.live_count_.load() >
            static_cast<size_t>(max_live_shards)) {
-      Stripe* victim_stripe = nullptr;
-      for (const auto& candidate : manager.stripes_) {
-        if (candidate->live_lru.empty()) continue;
-        if (victim_stripe == nullptr ||
-            *candidate->live_lru.begin() <
-                *victim_stripe->live_lru.begin()) {
-          victim_stripe = candidate.get();
-        }
-      }
-      FKC_CHECK(victim_stripe != nullptr);
-      const auto victim = victim_stripe->live_lru.begin();
-      Shard& victim_shard =
-          victim_stripe->shards.find(victim->second)->second;
+      const auto victim = routing.live_lru.begin();
+      Shard& victim_shard = routing.shards.find(victim->second)->second;
       auto segment = verbatim.find(victim->second);
       // A spill backend that cannot even absorb the restore is fatal to
       // the restore, not the process.
@@ -1323,7 +1162,7 @@ Result<ShardManager> ShardManager::Restore(
       victim_shard.live.reset();
       victim_shard.spill_dirty = false;  // restored = checkpointed = clean
       victim_shard.clean_epoch = kNeverCheckpointed;
-      victim_stripe->live_lru.erase(victim);
+      routing.live_lru.erase(victim);
       manager.live_count_.fetch_sub(1, std::memory_order_relaxed);
       manager.evictions_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -1334,13 +1173,6 @@ Result<ShardManager> ShardManager::Restore(
 Status ShardManager::StartMaintenance(MaintenanceOptions options) {
   if (options.cadence <= std::chrono::milliseconds::zero()) {
     return Status::InvalidArgument("maintenance cadence must be positive");
-  }
-  if (options.delta_log != nullptr && options.replicated_log != nullptr) {
-    // The per-shard dirty bit is a single-consumer cursor: two captors
-    // would each ship only the shards the other had not already marked
-    // clean, and both logs would replay a torn fleet.
-    return Status::InvalidArgument(
-        "at most one of delta_log / replicated_log may capture");
   }
   std::lock_guard<std::mutex> admin(*maintenance_admin_mu_);
   if (maintenance_ != nullptr) {
@@ -1430,21 +1262,8 @@ MaintenanceTickReport ShardManager::RunMaintenanceTick(
     if (report.status.ok()) report.status = spill_status;
   }
 
-  if (options.delta_log != nullptr && options.replicated_log != nullptr) {
-    if (report.status.ok()) {
-      report.status = Status::InvalidArgument(
-          "at most one of delta_log / replicated_log may capture");
-    }
-  } else if (options.delta_log != nullptr && dirty_shard_count() > 0) {
-    auto captured = options.delta_log->Capture(this);
-    if (captured.ok()) {
-      report.capture_bytes = captured.value().bytes;
-      report.rebased = captured.value().rebased;
-    } else if (report.status.ok()) {
-      report.status = captured.status();
-    }
-  } else if (options.replicated_log != nullptr && dirty_shard_count() > 0) {
-    auto captured = options.replicated_log->Capture(this);
+  if (options.capture != nullptr && dirty_shard_count() > 0) {
+    auto captured = options.capture->Capture(this);
     if (captured.ok()) {
       report.capture_bytes = captured.value().bytes;
       report.rebased = captured.value().rebased;
@@ -1467,15 +1286,15 @@ MaintenanceTickReport ShardManager::RunMaintenanceTick(
 }
 
 Result<int64_t> ShardManager::GarbageCollectSpill() {
-  // The GC mutex is taken BEFORE any stripe lock (lock-order protocol) and
+  // The GC mutex is taken BEFORE the routing lock (lock-order protocol) and
   // held across the whole sweep: no spill can commit between the keep-set
   // snapshot below and the store's delete pass, so the keep-set can never
   // under-approximate and reap a freshly spilled blob.
   std::lock_guard<std::mutex> gc(*gc_mu_);
   std::set<std::string> spilled;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    for (const auto& [key, shard] : stripe->shards) {
+  {
+    std::shared_lock<std::shared_mutex> routing_lock(routing_->mu);
+    for (const auto& [key, shard] : routing_->shards) {
       if (!shard.live) spilled.insert(key);
     }
   }
@@ -1483,53 +1302,41 @@ Result<int64_t> ShardManager::GarbageCollectSpill() {
 }
 
 std::vector<std::string> ShardManager::Keys() const {
+  std::shared_lock<std::shared_mutex> routing_lock(routing_->mu);
   std::vector<std::string> keys;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    for (const auto& [key, shard] : stripe->shards) keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
+  keys.reserve(routing_->shards.size());
+  for (const auto& [key, shard] : routing_->shards) keys.push_back(key);
   return keys;
 }
 
 ObjectiveEngine* ShardManager::shard(const std::string& key) {
-  Stripe& stripe = StripeOf(key);
   Shard* shard = nullptr;
   {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    shard = RouteLocked(stripe, key, /*create_missing=*/false,
+    std::lock_guard<std::shared_mutex> routing_lock(routing_->mu);
+    shard = RouteLocked(key, /*create_missing=*/false,
                         clock_.load(std::memory_order_relaxed));
     if (shard == nullptr) return nullptr;
     ++shard->pins;
-    ++stripe.ops;
   }
   ObjectiveEngine* window = nullptr;
   {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     if (EnsureLiveHeld(key, shard).ok()) window = shard->live.get();
   }
-  {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    --shard->pins;
-  }
+  Unpin(shard);
   EnforceLiveCap(&key);
   return window;
 }
 
 const ObjectiveEngine* ShardManager::shard(const std::string& key) const {
-  Stripe& stripe = StripeOf(key);
-  std::shared_lock<std::shared_mutex> stripe_lock(stripe.mu);
-  auto it = stripe.shards.find(key);
-  return it == stripe.shards.end() ? nullptr : it->second.live.get();
+  std::shared_lock<std::shared_mutex> routing_lock(routing_->mu);
+  auto it = routing_->shards.find(key);
+  return it == routing_->shards.end() ? nullptr : it->second.live.get();
 }
 
 size_t ShardManager::shard_count() const {
-  size_t total = 0;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    total += stripe->shards.size();
-  }
-  return total;
+  std::shared_lock<std::shared_mutex> routing_lock(routing_->mu);
+  return routing_->shards.size();
 }
 
 size_t ShardManager::live_shard_count() const {
@@ -1544,26 +1351,12 @@ size_t ShardManager::spilled_shard_count() const {
   return total > live ? total - live : 0;
 }
 
-std::vector<int64_t> ShardManager::StripeOps() const {
-  std::vector<int64_t> ops;
-  ops.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    ops.push_back(stripe->ops);
-  }
-  return ops;
-}
-
-std::vector<int64_t> ShardManager::StripePins() const {
-  std::vector<int64_t> pins;
-  pins.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    int64_t total = 0;
-    for (const auto& [key, shard] : stripe->shards) total += shard.pins;
-    pins.push_back(total);
-  }
-  return pins;
+std::vector<const ShardManager::Shard*> ShardManager::ShardSnapshot() const {
+  std::shared_lock<std::shared_mutex> routing_lock(routing_->mu);
+  std::vector<const Shard*> snapshot;
+  snapshot.reserve(routing_->shards.size());
+  for (const auto& [key, shard] : routing_->shards) snapshot.push_back(&shard);
+  return snapshot;
 }
 
 void ShardManager::FanOut(int64_t count,
@@ -1578,12 +1371,8 @@ void ShardManager::FanOut(int64_t count,
 
 MemoryStats ShardManager::TotalMemory() const {
   // Same stable-entry snapshot as dirty_shard_count: collect under the
-  // stripe locks, read each shard under its own.
-  std::vector<const Shard*> snapshot;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    for (const auto& [key, shard] : stripe->shards) snapshot.push_back(&shard);
-  }
+  // routing lock, read each shard under its own.
+  const std::vector<const Shard*> snapshot = ShardSnapshot();
   MemoryStats stats;
   for (const Shard* shard : snapshot) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);

@@ -46,53 +46,47 @@
 //     of caller-driven; StopMaintenance() (also run by the destructor)
 //     joins it cleanly.
 //
-// Concurrency model (striped routing + per-shard locks). The manager
-// serializes nothing behind one big mutex; instead:
+// Concurrency model (one routing lock + per-shard locks). The manager
+// serializes no window work behind one big mutex; instead:
 //
-//   * The routing layer is split into N hash-partitioned STRIPES. Each
-//     stripe owns its slice of the shard map, its slice of the per-tenant
-//     override tables (options and objectives), its own LRU index of live
-//     shards, and the pin counts of its shards — all guarded by that
-//     stripe's reader-writer lock (std::shared_mutex), held only for map
-//     lookups and bookkeeping mutations (plus shard construction), never
-//     across a window update, a query, a (de)serialization, or spill-store
-//     IO. Pure lookups (TenantOptions, Keys, counts, memory/pin gauges,
-//     eviction candidate scans) take it SHARED and run concurrently;
-//     anything that mutates stripe state — routing (it bumps LRU/ops and
-//     pins), creation, residency commits, override registration — takes it
-//     EXCLUSIVE. Ingest and shard creation on keys in different stripes
-//     never touch the same lock. The fleet-wide clock and the lifetime
-//     counters are plain atomics.
+//   * The ROUTING LAYER — the shard map, the per-tenant override tables
+//     (options and objectives), the LRU index of live shards, and the pin
+//     counts of the shards — is guarded by one reader-writer lock
+//     (std::shared_mutex), held only for map lookups and bookkeeping
+//     mutations (plus shard construction), never across a window update, a
+//     query, a (de)serialization, or spill-store IO. Pure lookups
+//     (TenantOptions, Keys, counts, memory gauges, eviction candidate
+//     scans) take it SHARED and run concurrently; anything that mutates
+//     routing state — routing (it bumps LRU and pins), creation, residency
+//     commits, override registration — takes it EXCLUSIVE. The fleet-wide
+//     clock and the lifetime counters are plain atomics.
 //   * Each shard owns a PER-SHARD mutex guarding its window's contents and
 //     its dirty-tracking state. Ingest and per-key queries touch only the
-//     shards they route to, so two tenants never contend.
+//     shards they route to, so two tenants never contend on window work.
 //   * Fleet-wide reads (QueryAll, CheckpointAll, CheckpointDelta) take
-//     EPOCH-SNAPSHOT semantics: they acquire ALL stripe locks in ascending
-//     index order, collect a stable key-ordered vector of shard refs
-//     pinned against eviction via a per-shard refcount (and, for
-//     checkpoints, snapshot the override table beside it), release every
-//     stripe, then visit shards one at a time under their own locks. The
-//     all-stripes hold covers bookkeeping only, so it is brief; the fleet
-//     scan itself blocks ingest to one shard at a time, never the fleet.
-//     Checkpoint bytes are identical at EVERY stripe count (including 1):
-//     shards and overrides are always emitted in ascending key order, so a
-//     striped fleet checkpoints byte-equal to a serially built one.
+//     EPOCH-SNAPSHOT semantics: they hold the routing lock just long
+//     enough to collect the key-ordered vector of shard refs pinned
+//     against eviction via a per-shard refcount (and, for checkpoints, to
+//     copy the override tables beside it), release it, then visit shards
+//     one at a time under their own locks. The fleet scan itself blocks
+//     ingest to one shard at a time, never the fleet. Shards and overrides
+//     are always emitted in ascending key order, so a concurrently built
+//     fleet checkpoints byte-equal to a serially built one.
 //   * Eviction (EvictIdle and the LRU cap) try-locks its victims and
 //     SKIPS busy or pinned shards instead of stalling the world; a spill
 //     re-checks the pin count after writing to the store and aborts if a
 //     reader pinned the shard in the meantime, so rehydration stays
 //     bit-exact and the staged-commit checkpoint invariants hold.
 //
-//   Lock order: a per-shard mutex is only ever acquired blocking while no
-//   stripe lock is held (shared or exclusive); a stripe lock may be
-//   acquired while holding a shard lock (residency commits); multiple
-//   stripe locks are only ever taken in ascending stripe-index order;
-//   under a stripe lock, shard mutexes are only try_lock'ed (eviction).
-//   Shared and exclusive modes of one stripe's lock rank identically in
-//   the order — the mode changes contention, not the hierarchy. Spill-
-//   store writes and GC are additionally serialized by a GC mutex so a
-//   sweep can never reap a blob spilled after it snapshotted the keep-set.
-//   Full order: shard mu -> gc_mu_ -> stripe mu (ascending).
+//   Lock order: a per-shard mutex is only ever acquired blocking while the
+//   routing lock is not held (shared or exclusive); the routing lock may be
+//   acquired while holding a shard lock (residency commits); under the
+//   routing lock, shard mutexes are only try_lock'ed (eviction). Shared
+//   and exclusive modes rank identically in the order — the mode changes
+//   contention, not the hierarchy. Spill-store writes and GC are
+//   additionally serialized by a GC mutex so a sweep can never reap a blob
+//   spilled after it snapshotted the keep-set.
+//   Full order: shard mu -> gc_mu_ -> routing mu.
 //
 // Compound caller sequences are still not atomic, and a fleet-wide
 // operation concurrent with ingest sees each shard's state at the moment
@@ -132,8 +126,7 @@
 namespace fkc {
 namespace serving {
 
-class DeltaLog;
-class ReplicatedLog;
+class CaptureSink;
 
 /// An arrival addressed to one shard.
 struct KeyedPoint {
@@ -163,14 +156,6 @@ struct ShardManagerOptions {
   /// number of client threads may call the manager at num_threads = 1.
   int num_threads = 1;
 
-  /// Routing stripes of the shard map (see the file comment). 0 = auto
-  /// (scaled to the hardware concurrency); anything else is rounded UP to
-  /// the next power of two (for mask-based key hashing) and clamped to
-  /// [1, 256]. An execution knob like num_threads: per-shard state,
-  /// checkpoint bytes, and answers are identical at every stripe count —
-  /// only contention changes. Not checkpointed.
-  int num_stripes = 0;
-
   /// Upper bound on simultaneously live (in-memory) shards; 0 = unlimited.
   /// When a create or rehydration would exceed it, the least-recently
   /// touched live shard is spilled. Enforced between ingest batches, so a
@@ -194,7 +179,7 @@ struct MaintenanceTickReport {
   int64_t evicted = 0;       ///< shards spilled by the eviction sweep
   int64_t gc_removed = 0;    ///< spill-store entries removed by GC
   size_t capture_bytes = 0;  ///< delta (or rebase) bytes appended to the log
-  bool rebased = false;      ///< the DeltaLog re-based this tick
+  bool rebased = false;      ///< the capture log re-based this tick
   Status status;             ///< first error of the tick (OK when clean)
 };
 
@@ -208,23 +193,18 @@ struct MaintenanceOptions {
   int64_t idle_ttl = -1;
 
   /// When set, every tick captures into this log (CheckpointDelta while the
-  /// chain budget holds, re-base otherwise — see DeltaLog). The log must
-  /// outlive the maintenance run. Ticks with zero dirty shards skip the
-  /// capture entirely. The per-shard dirty bit is a SINGLE-CONSUMER
-  /// cursor: while a log captures on a cadence, nothing else may call
-  /// CheckpointDelta/CheckpointAll on the same manager — a direct call
-  /// marks shards clean and the log's next delta silently omits them.
-  DeltaLog* delta_log = nullptr;
-
-  /// Like delta_log, but captures into a crash-safe ReplicatedLog
-  /// (serving/replication/replicated_log.h): every appended base/delta is
-  /// also published to the log's directory before the tick reports, so a
+  /// chain budget holds, re-base otherwise): an in-memory DeltaLog
+  /// (serving/delta_log.h) or a crash-safe ReplicatedLog
+  /// (serving/replication/replicated_log.h), which publishes every
+  /// appended base/delta to its directory before the tick reports, so a
   /// SIGKILL between ticks loses at most the arrivals since the last
-  /// capture. The same single-consumer dirty-bit rule applies, and at most
-  /// ONE of delta_log / replicated_log may be set (StartMaintenance
-  /// rejects both; a manual tick reports kInvalidArgument) — two captors
-  /// would each see only half the deltas.
-  ReplicatedLog* replicated_log = nullptr;
+  /// capture. The log must outlive the maintenance run. Ticks with zero
+  /// dirty shards skip the capture entirely. The per-shard dirty bit is a
+  /// SINGLE-CONSUMER cursor: while a log captures on a cadence, nothing
+  /// else may call CheckpointDelta/CheckpointAll on the same manager — a
+  /// direct call marks shards clean and the log's next delta silently
+  /// omits them.
+  CaptureSink* capture = nullptr;
 
   /// Run spill-store GarbageCollect every this many ticks (0 = never).
   int64_t gc_every = 0;
@@ -278,10 +258,10 @@ struct ShardAnswer {
 ///
 /// Thread-safety: every public method is safe to call from any number of
 /// threads concurrently, including while the background maintenance thread
-/// runs. Ingest and per-key queries contend only on their key's routing
-/// stripe and the shards they route to (striped two-level locking — see
-/// the file comment); QueryAll and the checkpoint family are epoch
-/// snapshots that lock shards one at a time.
+/// runs. Ingest and per-key queries contend only on the brief routing lock
+/// and the shards they route to (two-level locking — see the file
+/// comment); QueryAll and the checkpoint family are epoch snapshots that
+/// lock shards one at a time.
 /// Compound caller sequences are not atomic, and pointers returned by
 /// shard() are not protected by any lock once returned — do not retain
 /// them across other manager calls, and do not use the non-const shard()
@@ -307,26 +287,26 @@ class ShardManager {
   /// out-of-range or zero-cap color, empty or non-finite coordinates, or a
   /// dimension differing from the shard's earlier arrivals (the first
   /// accepted arrival pins it); other tenants are unaffected. Holds only
-  /// `key`'s stripe lock for routing and `key`'s shard lock during the
-  /// window update.
+  /// the routing lock for routing and `key`'s shard lock during the window
+  /// update.
   Status Ingest(const std::string& key, Point p);
 
-  /// Routes a batch of keyed arrivals: partitions the batch by routing
-  /// stripe (lock-free), then groups by key WITHIN each stripe concurrently
-  /// over the pool (preserving per-key arrival order), creates/rehydrates
-  /// missing shards, and finally fans the per-shard groups out over the
-  /// pool, each shard consuming its group through the core UpdateBatch
-  /// engine. Produces the same per-shard state as calling Ingest per
+  /// Routes a batch of keyed arrivals: groups it by key (preserving
+  /// per-key arrival order), validates, creates missing shards and pins
+  /// every touched shard in ONE pass under the routing lock, then fans the
+  /// per-shard groups out over the pool, each shard consuming its group
+  /// through the core UpdateBatch engine (rehydrating a spilled shard
+  /// first). Produces the same per-shard state as calling Ingest per
   /// arrival in order. Invalid arrivals (oversized key, out-of-range or
   /// zero-cap color, empty/non-finite coordinates, dimension mismatch) are
   /// dropped individually — every valid arrival in the batch is still
   /// consumed — and reported through a kInvalidArgument status describing
   /// the earliest offender (by batch position) and the drop count. Two
-  /// batches touching disjoint key sets contend at most on shared stripes
-  /// during the routing step, and not at all when their stripes are
-  /// disjoint. The fleet clock advances once per SUBMITTED batch arrival
-  /// (a dropped arrival still consumes its tick), keeping LRU/TTL
-  /// bookkeeping deterministic under concurrent grouping.
+  /// batches touching disjoint key sets contend only on the routing pass,
+  /// never during the window updates. The fleet clock advances once per
+  /// SUBMITTED batch arrival (a dropped arrival still consumes its tick),
+  /// and the whole range is reserved up front, so LRU/TTL bookkeeping is
+  /// deterministic under concurrent batches.
   Status IngestBatch(std::vector<KeyedPoint> batch);
 
   /// Registers per-tenant options applied when `key`'s shard is created;
@@ -367,7 +347,7 @@ class ShardManager {
   /// Queries every shard — live and spilled — multiplexed over the pool
   /// (each shard's query pipeline runs sequentially inside its task).
   /// An epoch snapshot: the shard set is collected (and pinned against
-  /// eviction) under the stripe locks, then each shard is visited under
+  /// eviction) under the routing lock, then each shard is visited under
   /// its own lock — ingest to unrelated shards never waits on a
   /// fleet-wide query round. Spilled shards are answered from an ephemeral
   /// deserialization without changing their residency, so a fleet-wide
@@ -397,14 +377,13 @@ class ShardManager {
   /// self-describing blob, and marks every shard clean. The format is v2
   /// when the whole fleet is default fair-center (byte-identical to
   /// pre-objective builds) and v3 otherwise. An epoch snapshot like
-  /// QueryAll: the shard
-  /// set (and override table) is pinned under the stripe locks — all
-  /// stripes held at once, acquired in ascending index order — then
-  /// serialized one shard lock at a time in ascending key order, so the
-  /// bytes are identical at every stripe count; shards created after the
-  /// snapshot stay dirty for the next checkpoint, and arrivals landing on
-  /// a shard after its segment was captured leave it dirty (the
-  /// epoch-based clean mark records the captured state, not the latest).
+  /// QueryAll: the shard set (and override table) is pinned under one
+  /// routing-lock hold, then serialized one shard lock at a time in
+  /// ascending key order, so a concurrently built fleet's bytes equal a
+  /// serially built one's; shards created after the snapshot stay dirty
+  /// for the next checkpoint, and arrivals landing on a shard after its
+  /// segment was captured leave it dirty (the epoch-based clean mark
+  /// records the captured state, not the latest).
   /// Spilled shards are written from their spill blob without rehydration;
   /// a spill blob that fails to load fails the whole checkpoint (leaving
   /// every dirty bit as it was — the next delta loses nothing).
@@ -437,15 +416,15 @@ class ShardManager {
   /// verbatim blob segment is handed to the spill store directly (never
   /// deserialized-then-reserialized), so a fleet far larger than the cap
   /// restores without ever being fully resident. `num_threads`,
-  /// `num_stripes`, `max_live_shards`, and `spill_store` are
-  /// execution/resource knobs supplied at restore time, like the metric
-  /// and solver. Corrupted, truncated, or implausible blobs fail with
-  /// kInvalidArgument, never a process abort.
+  /// `max_live_shards`, and `spill_store` are execution/resource knobs
+  /// supplied at restore time, like the metric and solver. Corrupted,
+  /// truncated, or implausible blobs fail with kInvalidArgument, never a
+  /// process abort.
   static Result<ShardManager> Restore(
       const std::string& bytes, const Metric* metric,
       const FairCenterSolver* solver, int num_threads = 1,
       int64_t max_live_shards = 0,
-      std::shared_ptr<SpillStore> spill_store = nullptr, int num_stripes = 0);
+      std::shared_ptr<SpillStore> spill_store = nullptr);
 
   // --- Background maintenance. ---
 
@@ -478,8 +457,8 @@ class ShardManager {
   int64_t maintenance_ticks() const { return maintenance_ticks_.load(); }
 
   /// Runs one maintenance tick synchronously on the calling thread:
-  /// eviction sweep (options.idle_ttl >= 0), DeltaLog capture
-  /// (options.delta_log, skipped while no shard is dirty), spill-store GC
+  /// eviction sweep (options.idle_ttl >= 0), log capture
+  /// (options.capture, skipped while no shard is dirty), spill-store GC
   /// (every options.gc_every ticks). The deterministic alternative to the
   /// timer for tests and single-threaded drivers; the timer thread calls
   /// exactly this. Composed of the ordinary locked public operations — the
@@ -495,7 +474,7 @@ class ShardManager {
   Result<int64_t> GarbageCollectSpill();
 
   /// Shard keys — live and spilled — in deterministic (lexicographic)
-  /// order, merged across stripes.
+  /// order.
   std::vector<std::string> Keys() const;
 
   /// Direct access to one shard, transparently rehydrating it if spilled
@@ -543,17 +522,6 @@ class ShardManager {
     return stats;
   }
 
-  /// Resolved routing-stripe count (a power of two, >= 1).
-  int num_stripes() const { return static_cast<int>(stripes_.size()); }
-  /// Routing operations (single-shard routes + batch groups) served per
-  /// stripe since construction, index-aligned with the stripes. A load /
-  /// skew gauge for benches: under Zipf-skewed keys the hot tenant's
-  /// stripe dominates. Volatile under concurrency — never gate on it.
-  std::vector<int64_t> StripeOps() const;
-  /// Current pin totals per stripe (sum of Shard::pins). Quiescent
-  /// managers must report all zeros — fleet snapshots unpin on every exit
-  /// path; exposed so tests can assert exactly that.
-  std::vector<int64_t> StripePins() const;
   /// Iterations the shared pool's workers claimed while another fan-out
   /// was concurrently in flight (ThreadPool::shared_claims; 0 without a
   /// pool). Volatile — a work-sharing gauge, not a counter to gate on.
@@ -570,15 +538,10 @@ class ShardManager {
   const ColorConstraint& constraint() const { return constraint_; }
   SpillStore* spill_store() const { return options_.spill_store.get(); }
 
-  /// The stripe-count convention: 0 means "auto" (4x the hardware
-  /// concurrency), anything else is taken as requested; the result is then
-  /// rounded up to a power of two and clamped to [1, 256].
-  static int ResolveStripeCount(int requested);
-
  private:
   /// One tenant's slot: a live window, or (live == nullptr) its serialized
   /// state parked in the spill store under the tenant key. Entries are
-  /// never removed from their stripe's shard map (eviction only drops the
+  /// never removed from the shard map (eviction only drops the
   /// live window), so Shard* pointers are stable for the manager's
   /// lifetime.
   ///
@@ -586,13 +549,13 @@ class ShardManager {
   ///   * `mu` (the per-shard lock) guards the contents of `live` (every
   ///     Update/Query/SerializeState call), `spill_dirty`, and
   ///     `clean_epoch`.
-  ///   * The owning stripe's lock (exclusive) guards `pins`, `last_touch`,
-  ///     `dim`, and `kind`.
+  ///   * The routing lock (exclusive) guards `pins`, `last_touch`, `dim`,
+  ///     and `kind`.
   ///   * The `live` POINTER itself (residency) changes only with BOTH the
-  ///     stripe lock and `mu` held, so either lock suffices to read it.
+  ///     routing lock and `mu` held, so either lock suffices to read it.
   struct Shard {
-    /// Per-shard lock. Blocking-acquired only while no stripe lock is
-    /// held; try_lock'ed under the stripe lock by eviction. Mutable so
+    /// Per-shard lock. Blocking-acquired only while the routing lock is
+    /// not held; try_lock'ed under the routing lock by eviction. Mutable so
     /// const fleet accessors can lock shards they only read.
     mutable std::mutex mu;
     std::unique_ptr<ObjectiveEngine> live;  ///< null when spilled
@@ -608,7 +571,7 @@ class ShardManager {
     /// kNeverCheckpointed marks dirty-since-birth (or since a dirty spill
     /// was rehydrated, which resets the window's epoch counter).
     int64_t clean_epoch = kNeverCheckpointed;
-    /// In-flight operations holding a reference (stripe lock). A pinned
+    /// In-flight operations holding a reference (routing lock). A pinned
     /// shard is never spilled: the spill path re-checks after its store
     /// write and aborts. Pins do not block rehydration.
     int pins = 0;
@@ -619,32 +582,28 @@ class ShardManager {
     int64_t dim = -1;
   };
 
-  /// One hash partition of the routing layer (see the file comment). All
-  /// fields are guarded by `mu` — shared mode suffices for pure reads,
-  /// every mutation holds it exclusive. Held in unique_ptrs so Stripe
-  /// addresses are stable and the manager stays movable.
-  struct Stripe {
+  /// The routing layer (see the file comment). All fields are guarded by
+  /// `mu` — shared mode suffices for pure reads, every mutation holds it
+  /// exclusive. Held in a unique_ptr so the manager stays movable.
+  struct Routing {
     mutable std::shared_mutex mu;
     /// Shards keyed by tenant id; std::map for deterministic iteration AND
     /// stable Shard addresses (entries are never erased).
     std::map<std::string, Shard> shards;
-    /// This stripe's slice of the per-tenant option overrides.
+    /// Per-tenant option overrides.
     std::map<std::string, SlidingWindowOptions> overrides;
-    /// This stripe's slice of the per-tenant objective overrides (tenants
-    /// deviating from options_.objective).
+    /// Per-tenant objective overrides (tenants deviating from
+    /// options_.objective).
     std::map<std::string, ObjectiveKind> objective_overrides;
-    /// (last_touch, key) of this stripe's live shards: the stripe-local
-    /// LRU victim is begin(); the fleet-wide victim is the minimum of the
-    /// stripes' fronts, preserving the global deterministic order.
+    /// (last_touch, key) of the live shards: the LRU victim is begin(),
+    /// least recently touched with ties broken by smaller key.
     std::set<std::pair<int64_t, std::string>> live_lru;
-    int64_t ops = 0;  ///< routing operations served (load/skew gauge)
   };
 
   /// One pinned entry of an epoch snapshot (QueryAll / checkpoints).
   struct PinnedShard {
     const std::string* key = nullptr;  ///< stable: map keys are never erased
     Shard* shard = nullptr;
-    Stripe* stripe = nullptr;  ///< owner, for the unpin pass
   };
 
   /// Unpins a snapshot on scope exit, whatever the exit path.
@@ -659,10 +618,6 @@ class ShardManager {
 
   static constexpr int64_t kNeverCheckpointed = -1;
 
-  /// `key`'s routing stripe (stable hash partition; stripe count is fixed
-  /// at construction).
-  Stripe& StripeOf(const std::string& key) const;
-
   /// Requires the shard's `mu` (reads the live window's epoch counter).
   bool IsDirty(const Shard& shard) const;
   /// The offending-arrival checks shared by Ingest and IngestBatch:
@@ -672,55 +627,54 @@ class ShardManager {
   Status ValidateArrival(const std::string& key, const Point& p,
                          int64_t pinned_dim) const;
   /// `key`'s pinned coordinate dimension, or -1 for unknown keys.
-  /// Requires `stripe`'s lock.
-  int64_t PinnedDimensionLocked(const Stripe& stripe,
-                                const std::string& key) const;
-  /// Template or override for `key`, num_threads forced to 1. Requires
-  /// `stripe`'s lock (reads the stripe's override slice).
-  SlidingWindowOptions OptionsForKey(const Stripe& stripe,
-                                     const std::string& key) const;
+  /// Requires the routing lock.
+  int64_t PinnedDimensionLocked(const std::string& key) const;
+  /// Template or override for `key`, num_threads forced to 1. Requires the
+  /// routing lock.
+  SlidingWindowOptions OptionsForKey(const std::string& key) const;
   /// Fleet default or registered objective override for `key`. Requires
-  /// `stripe`'s lock (shared suffices).
-  ObjectiveKind ObjectiveForKey(const Stripe& stripe,
-                                const std::string& key) const;
-  /// Routing step of every single-shard operation. Requires `stripe`'s
+  /// the routing lock (shared suffices).
+  ObjectiveKind ObjectiveForKey(const std::string& key) const;
+  /// Routing step of every single-shard operation. Requires the routing
   /// lock: finds `key`'s entry (creating a live one when `create_missing`),
   /// and refreshes its last_touch to `touch`. Returns nullptr for an
   /// unknown key when not creating. The caller pins before releasing the
-  /// stripe lock if it needs the shard past the lookup.
-  Shard* RouteLocked(Stripe& stripe, const std::string& key,
-                     bool create_missing, int64_t touch);
+  /// routing lock if it needs the shard past the lookup.
+  Shard* RouteLocked(const std::string& key, bool create_missing,
+                     int64_t touch);
   /// Rehydrates `key`'s shard if spilled. Caller holds the shard's `mu`
-  /// and NO stripe lock; the residency commit takes the stripe lock
+  /// and NOT the routing lock; the residency commit takes the routing lock
   /// internally. On success the shard is live.
   Status EnsureLiveHeld(const std::string& key, Shard* shard);
-  /// Sets a live shard's last_touch, keeping the stripe's LRU index in
-  /// sync. Requires `stripe`'s lock.
-  void TouchLive(Stripe& stripe, const std::string& key, Shard* shard,
-                 int64_t touch);
+  /// Sets a live shard's last_touch, keeping the LRU index in sync.
+  /// Requires the routing lock.
+  void TouchLive(const std::string& key, Shard* shard, int64_t touch);
+  /// Unpins one shard routed by a single-shard operation.
+  void Unpin(Shard* shard);
   /// Attempts to spill `key`'s live shard right now, without blocking:
   /// kSkipped when the shard is unknown, already spilled, pinned, its lock
   /// is busy, or (idle_ttl >= 0) it is no longer idle by the time the
-  /// stripe lock is held; a backend failure is returned as a Status and
+  /// routing lock is held; a backend failure is returned as a Status and
   /// leaves the shard live. Caller must hold NO manager lock.
   Result<SpillAttempt> TrySpillShard(const std::string& key, int64_t idle_ttl);
-  /// Spills least-recently-touched live shards (fleet-wide minimum of the
-  /// stripes' LRU fronts; ties broken by smaller key, deterministically —
-  /// the same global order the unstriped index had) until the cap holds.
-  /// `exclude` (may be null) is never spilled; pinned or lock-busy shards
-  /// are skipped (best-effort, like a failing spill backend). Caller must
-  /// hold NO manager lock.
+  /// Spills least-recently-touched live shards (ties broken by smaller
+  /// key, deterministically) until the cap holds. `exclude` (may be null)
+  /// is never spilled; pinned or lock-busy shards are skipped
+  /// (best-effort, like a failing spill backend). Caller must hold NO
+  /// manager lock.
   void EnforceLiveCap(const std::string* exclude);
-  /// Pins every current shard entry — all stripe locks held at once, taken
-  /// in ascending index order — and returns the snapshot in deterministic
-  /// (ascending key) order. When `overrides_out` / `objectives_out` are
-  /// non-null, the merged override tables are copied out under the same
-  /// hold, so they travel with the exact shard set they were snapshotted
-  /// beside.
+  /// Pins every current shard entry under one routing-lock hold and
+  /// returns the snapshot in deterministic (ascending key) order. When
+  /// `overrides_out` / `objectives_out` are non-null, the override tables
+  /// are copied out under the same hold, so they travel with the exact
+  /// shard set they were snapshotted beside.
   std::vector<PinnedShard> PinFleet(
       std::map<std::string, SlidingWindowOptions>* overrides_out = nullptr,
       std::map<std::string, ObjectiveKind>* objectives_out = nullptr);
   void UnpinFleet(const std::vector<PinnedShard>& pinned);
+  /// Every shard entry, collected under the routing lock. Entries are
+  /// never erased, so the pointers stay valid after the lock is dropped.
+  std::vector<const Shard*> ShardSnapshot() const;
   /// Shared body of CheckpointAll / CheckpointDelta (`dirty_only`).
   Result<std::string> CheckpointSnapshot(bool dirty_only);
   /// Runs fn(0..count) over the pool, or inline without one (or for a
@@ -737,16 +691,15 @@ class ShardManager {
   const Metric* metric_;
   const FairCenterSolver* solver_;
 
-  /// The routing stripes (see file comment); stripe count is a power of
-  /// two fixed at construction, so StripeOf is a hash + mask.
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  /// The routing layer (see the file comment).
+  std::unique_ptr<Routing> routing_;
 
   /// Serializes spill-store writes against GarbageCollectSpill's keep-set
-  /// snapshot + sweep (lock order: shard mu -> gc_mu_ -> stripe mu).
+  /// snapshot + sweep (lock order: shard mu -> gc_mu_ -> routing mu).
   std::unique_ptr<std::mutex> gc_mu_;
 
-  /// Live (resident) shards across all stripes; mutated only under the
-  /// owning stripe's lock but read lock-free by the cap check.
+  /// Live (resident) shards; mutated only under the routing lock but read
+  /// lock-free by the cap check.
   std::atomic<size_t> live_count_{0};
 
   /// Shared pool (nullptr when the effective size is 1), created eagerly

@@ -360,10 +360,10 @@ ShardedContentionReport RunShardedContention(
 
   // The key schedule. Classic mode: client c owns "client-c", fully
   // disjoint. Zipf mode (zipf_s > 0): every arrival's key is a rank drawn
-  // from a shared heavy-tailed tenant population, so hot tenants — and
-  // their routing stripes — are contended across clients. create_every
-  // rotates either schedule to a fresh key generation mid-run, keeping
-  // shard creation on the measured path.
+  // from a shared heavy-tailed tenant population, so hot tenants are
+  // contended across clients. create_every rotates either schedule to a
+  // fresh key generation mid-run, keeping shard creation on the measured
+  // path.
   const int64_t zipf_tenants =
       options.zipf_s > 0.0
           ? (options.zipf_tenants > 0
@@ -549,16 +549,7 @@ ShardedContentionReport RunShardedContention(
   report.maintenance_ticks = maintenance_ticks.load();
   report.shards = static_cast<int>(manager->shard_count()) -
                   static_cast<int>(options.idle_tenants);
-  report.stripes = manager->num_stripes();
   report.pool_steals = manager->pool_shared_claims();
-  const std::vector<int64_t> stripe_ops = manager->StripeOps();
-  int64_t hottest = 0, total_ops = 0;
-  for (int64_t ops : stripe_ops) {
-    hottest = std::max(hottest, ops);
-    total_ops += ops;
-  }
-  report.stripe_hot_ratio =
-      total_ops > 0 ? static_cast<double>(hottest) / total_ops : 0.0;
   return report;
 }
 

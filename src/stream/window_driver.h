@@ -328,17 +328,17 @@ struct ShardedContentionOptions {
   /// owns key "client-c", fully disjoint). s > 0 switches to a shared
   /// heavy-tailed tenant population: each client draws every arrival's key
   /// from Zipf(s) over `zipf_tenants` ranks (deterministically, seeded per
-  /// client), so hot tenants — and their routing stripes — are shared
-  /// across clients. Measures the striped map under realistic hot-key
-  /// popularity instead of perfectly spread routing.
+  /// client), so hot tenants are shared across clients. Measures the
+  /// serving layer under realistic hot-key popularity instead of perfectly
+  /// spread routing.
   double zipf_s = 0.0;
   /// Tenant population for the Zipf schedule; 0 = 4 * client_threads.
   int64_t zipf_tenants = 0;
   /// Create-heavy churn: every this many arrivals, a client rotates to a
   /// fresh never-seen key generation (key "client-c-gN" or a fresh Zipf
-  /// rank namespace), so shard CREATION — the routing-layer write path the
-  /// stripes exist to spread — stays on the hot path instead of happening
-  /// once at warm-up. 0 = keys are stable for the whole run.
+  /// rank namespace), so shard CREATION — the routing layer's write path —
+  /// stays on the hot path instead of happening once at warm-up. 0 = keys
+  /// are stable for the whole run.
   int64_t create_every = 0;
 };
 
@@ -353,13 +353,9 @@ struct ShardedContentionReport {
   int64_t updates = 0;
   int64_t query_rounds = 0;       ///< completed background QueryAll rounds
   int64_t maintenance_ticks = 0;  ///< completed background sweeps
-  int stripes = 0;                ///< manager's resolved routing-stripe count
   /// Pool iterations claimed while another fan-out was concurrently in
   /// flight (ThreadPool work sharing). Volatile, like query_rounds.
   int64_t pool_steals = 0;
-  /// Fraction of routing ops landing on the single busiest stripe — 1/N is
-  /// perfectly spread, ~1.0 is one hot stripe. Volatile under concurrency.
-  double stripe_hot_ratio = 0.0;
   /// Wall time from releasing the clients to the last client finishing,
   /// with the background threads running throughout.
   double update_seconds = 0.0;

@@ -135,7 +135,7 @@ TEST(ThreadPoolTest, ZeroResolvesToHardwareConcurrency) {
 // Work sharing: many external threads submit overlapping ParallelFor calls
 // to ONE pool. Every iteration of every job still runs exactly once, every
 // call returns only after its own job is complete, and the pool survives
-// the churn — the scenario the striped serving layer creates when multiple
+// the churn — the scenario the serving layer creates when multiple
 // client batches fan out concurrently.
 TEST(ThreadPoolTest, ConcurrentCallersShareWorkers) {
   ThreadPool pool(3);

@@ -173,7 +173,7 @@ TEST(DeltaLogTest, MaintenanceTickSkipsCaptureWhileClean) {
   ASSERT_TRUE(manager.Ingest("tenant-a", Point({1.0, 2.0}, 0)).ok());
   DeltaLog log;
   MaintenanceOptions options;
-  options.delta_log = &log;
+  options.capture = &log;
 
   auto first = manager.RunMaintenanceTick(options);
   EXPECT_TRUE(first.status.ok()) << first.status.ToString();
@@ -206,7 +206,7 @@ TEST(DeltaLogTest, RunMaintenanceTickReportsItsWork) {
   DeltaLog log;
   MaintenanceOptions options;
   options.idle_ttl = 0;  // spill everything idle
-  options.delta_log = &log;
+  options.capture = &log;
   options.gc_every = 1;
   MaintenanceTickReport hook_report;
   int hook_calls = 0;
@@ -234,7 +234,7 @@ TEST(DeltaLogTest, MaintenanceThreadCapturesAndReplaysExactly) {
   MaintenanceOptions options;
   options.cadence = std::chrono::milliseconds(1);
   options.idle_ttl = 50;
-  options.delta_log = &log;
+  options.capture = &log;
   options.gc_every = 2;
   std::atomic<int64_t> ticks_seen{0};
   options.on_tick = [&](const MaintenanceTickReport& report) {

@@ -658,7 +658,7 @@ TEST(ShardManagerFaultTest, CheckpointFailureIsCountedAndAnnotated) {
   EXPECT_TRUE(manager.CheckpointAll().ok());
 }
 
-// Maintenance can capture into a ReplicatedLog (but never into two logs).
+// Maintenance can capture into a ReplicatedLog.
 TEST(ShardManagerFaultTest, MaintenanceCapturesIntoReplicatedLog) {
   ReplicatedLog log(FreshDir("maintenance"));
   ASSERT_TRUE(log.Open().ok());
@@ -668,16 +668,9 @@ TEST(ShardManagerFaultTest, MaintenanceCapturesIntoReplicatedLog) {
     ASSERT_TRUE(manager.Ingest(kp.key, kp.point).ok());
   }
 
-  DeltaLog other;
-  MaintenanceOptions both;
-  both.delta_log = &other;
-  both.replicated_log = &log;
-  EXPECT_EQ(manager.StartMaintenance(both).code(),
-            StatusCode::kInvalidArgument);
-
   MaintenanceOptions options;
   options.cadence = std::chrono::milliseconds(5);
-  options.replicated_log = &log;
+  options.capture = &log;
   ASSERT_TRUE(manager.StartMaintenance(options).ok());
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
