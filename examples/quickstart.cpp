@@ -40,8 +40,9 @@ int main() {
 
   // 4. Stream synthetic data: three drifting Gaussian clusters whose points
   //    belong to group 0 with probability 0.7. Arrivals are delivered in
-  //    batches of 100 — UpdateBatch is equivalent to 100 Update calls but
-  //    lets the engine amortize its parallel fan-out.
+  //    batches of 100. UpdateBatch is equivalent to 100 Update calls; in
+  //    this adaptive-range window it steps through them one at a time (only
+  //    a fixed-range window hands a batch to the thread pool).
   fkc::Rng rng(42);
   std::vector<fkc::Point> batch;
   for (int t = 1; t <= 5000; ++t) {

@@ -15,16 +15,6 @@ namespace {
 // one call; 64 exponents cover any double-representable distance range.
 constexpr int kMaxUpwardExtensions = 64;
 
-// Buffers the distances one guess structure evaluates during a parallel
-// ladder step, for deterministic replay into the estimator after the join.
-class RecordingObserver final : public DistanceObserver {
- public:
-  void ObserveDistance(double distance) override {
-    observed.push_back(distance);
-  }
-  std::vector<double> observed;
-};
-
 }  // namespace
 
 double DeltaForEpsilon(double epsilon, double beta, double alpha) {
@@ -104,39 +94,12 @@ void FairCenterSlidingWindow::UpdateGuesses(const Point& p) {
   // the finest. Observing every guess would triple the update cost for no
   // extra information.
   const int top_exponent = guesses_.empty() ? 0 : guesses_.rbegin()->first;
-
-  ThreadPool* pool = Pool();
-  if (pool == nullptr || guesses_.size() < 2) {
-    for (auto& [exponent, guess] : guesses_) {
-      DistanceObserver* observer =
-          (options_.adaptive_range && exponent == top_exponent)
-              ? estimator_.get()
-              : nullptr;
-      guess.Update(p, now_, *metric_, observer);
-    }
-    return;
-  }
-
-  // Parallel fan-out: the guess structures are mutually independent, so each
-  // updates on its own task. Distance observations are buffered per guess
-  // and replayed into the estimator in ascending exponent order after the
-  // join, making the estimator state independent of thread scheduling.
-  std::vector<std::pair<int, GuessStructure*>> items;
-  items.reserve(guesses_.size());
-  for (auto& [exponent, guess] : guesses_) items.emplace_back(exponent, &guess);
-  std::vector<RecordingObserver> recorders(items.size());
-  pool->ParallelFor(
-      static_cast<int64_t>(items.size()), [&](int64_t i) {
-        DistanceObserver* observer =
-            (options_.adaptive_range && items[i].first == top_exponent)
-                ? &recorders[i]
-                : nullptr;
-        items[i].second->Update(p, now_, *metric_, observer);
-      });
-  if (options_.adaptive_range) {
-    for (size_t i = 0; i < items.size(); ++i) {  // ascending exponent order
-      for (double d : recorders[i].observed) estimator_->ObserveDistance(d);
-    }
+  for (auto& [exponent, guess] : guesses_) {
+    DistanceObserver* observer =
+        (options_.adaptive_range && exponent == top_exponent)
+            ? estimator_.get()
+            : nullptr;
+    guess.Update(p, now_, *metric_, observer);
   }
 }
 
@@ -168,11 +131,13 @@ void FairCenterSlidingWindow::Update(Point p) {
 
 void FairCenterSlidingWindow::UpdateBatch(std::vector<Point> batch) {
   if (batch.empty()) return;
-  ThreadPool* pool = Pool();
   // Adaptive mode must step arrival by arrival (the guess set and estimator
-  // evolve between arrivals); Update itself fans the ladder out per step.
+  // evolve between arrivals). A one-arrival batch has no fan-out to
+  // amortize: one ParallelFor per arrival costs more than it saves.
   // Sequential configurations take the same per-arrival path.
-  if (options_.adaptive_range || pool == nullptr || guesses_.size() < 2) {
+  ThreadPool* pool = Pool();
+  if (options_.adaptive_range || pool == nullptr || guesses_.size() < 2 ||
+      batch.size() < 2) {
     for (Point& p : batch) Update(std::move(p));
     return;
   }

@@ -70,12 +70,14 @@ struct SlidingWindowOptions {
   /// for up to one window length after every range shift.
   bool warm_start_new_guesses = true;
 
-  /// Worker threads for the parallel ladder engine: the per-guess structures
-  /// are mutually independent, so Update/UpdateBatch (and expiry) fan them
-  /// out across this many threads; queries scan the ladder sequentially.
-  /// 1 = fully sequential (no pool is created); 0 = hardware concurrency. Results are bit-identical at any value — an
-  /// execution knob, not algorithm state, and deliberately excluded from
-  /// SerializeState().
+  /// Worker threads for the two pooled ladder steps: a fixed-range
+  /// UpdateBatch of two or more arrivals hands the whole batch to each guess
+  /// structure on its own task, and the expiry sweep before a query fans the
+  /// guesses out. Update, adaptive-range UpdateBatch and the query's ladder
+  /// scan always run sequentially. 1 = fully sequential (no pool is
+  /// created); 0 = hardware concurrency. Results are bit-identical at any
+  /// value — an execution knob, not algorithm state, and deliberately
+  /// excluded from SerializeState().
   int num_threads = 1;
 };
 
@@ -134,11 +136,11 @@ class FairCenterSlidingWindow : public ObjectiveEngine {
   void Update(Point p) override;
 
   /// Feeds a batch of stream points, equivalent to calling Update on each in
-  /// order (bit-identical final state), but amortizing the parallel fan-out:
-  /// in fixed-range mode every guess structure consumes the whole batch on
-  /// its own thread; in adaptive mode arrivals are processed one step at a
-  /// time (the guess set may shift between arrivals) with the ladder fanned
-  /// out per step.
+  /// order (bit-identical final state). With a pool in fixed-range mode,
+  /// every guess structure consumes a batch of two or more arrivals on its
+  /// own task (one fan-out per batch). In adaptive mode the guess set may
+  /// shift between arrivals, so the batch is stepped through Update one
+  /// arrival at a time.
   void UpdateBatch(std::vector<Point> batch) override;
 
   /// Computes a fair-center solution for the current window (Algorithm 3).
@@ -255,11 +257,9 @@ class FairCenterSlidingWindow : public ObjectiveEngine {
   /// Update and UpdateBatch).
   void StampArrival(Point* p);
 
-  /// Runs one arrival through every guess structure — sequentially, or
-  /// fanned out over the pool with adaptive-mode distance observations
-  /// recorded per guess and replayed into the estimator in ascending
-  /// exponent order, so the estimator state is bit-identical to the
-  /// sequential path at any thread count.
+  /// Runs one arrival through every guess structure in ascending exponent
+  /// order; in adaptive mode the topmost guess reports its distances to
+  /// the range estimator.
   void UpdateGuesses(const Point& p);
 
   /// The lazily created pool behind the parallel engine; nullptr while the

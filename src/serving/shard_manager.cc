@@ -16,16 +16,14 @@ namespace fkc {
 namespace serving {
 namespace {
 
-// Full-fleet formats: v1 (PR 2, template + constraint + shards) is still
-// accepted by Restore; v2 adds the per-tenant override table; v3 adds the
-// fleet-default objective tag and the per-tenant objective table right
-// after the magic. Writers emit v2 / delta-v2 bytes whenever the whole
-// fleet runs default fair-center — byte-identical to pre-objective builds —
-// and switch to v3 as soon as any other objective is involved.
+// Full-fleet formats: v1 (template + constraint + shards); v2 adds the
+// per-tenant override table; v3 adds the fleet-default objective tag and
+// the per-tenant objective table right after the magic. The writer always
+// emits v3 / delta-v3; v1, v2 and delta-v2 are restore-only.
 constexpr const char* kMagicV1 = "fkc-shards-v1";
 constexpr const char* kMagicV2 = "fkc-shards-v2";
 constexpr const char* kMagicV3 = "fkc-shards-v3";
-constexpr const char* kDeltaMagic = "fkc-shards-delta-v2";
+constexpr const char* kDeltaMagicV2 = "fkc-shards-delta-v2";
 constexpr const char* kDeltaMagicV3 = "fkc-shards-delta-v3";
 
 // Shard keys travel as length-prefixed raw segments in the fleet checkpoint
@@ -821,20 +819,12 @@ Result<std::string> ShardManager::CheckpointSnapshot(bool dirty_only) {
   std::vector<PinnedShard> pinned = PinFleet(&overrides, &objectives);
   FleetPin unpin(this, &pinned);
 
-  // Format choice: a fleet whose every tenant runs the default fair-center
-  // objective serializes as v2 — byte-identical to pre-objective builds —
-  // and switches to v3 (magic, then the default tag, then the objective
-  // table after the option overrides) as soon as any other objective is
-  // configured, fleet-wide or per tenant.
-  const bool mixed = options_.objective != ObjectiveKind::kFairCenter ||
-                     !objectives.empty();
+  // v3: magic, the fleet-default objective tag, the window template (full
+  // checkpoints only), the constraint, the option overrides and the
+  // objective table.
   std::ostringstream out;
-  if (mixed) {
-    out << (dirty_only ? kDeltaMagicV3 : kMagicV3) << ' ';
-    WriteObjectiveTag(&out, options_.objective);
-  } else {
-    out << (dirty_only ? kDeltaMagic : kMagicV2) << ' ';
-  }
+  out << (dirty_only ? kDeltaMagicV3 : kMagicV3) << ' ';
+  WriteObjectiveTag(&out, options_.objective);
   if (!dirty_only) {
     // The window template (needed to spawn shards for keys first seen
     // after a restore). num_threads, max_live_shards, and the spill store
@@ -844,7 +834,7 @@ Result<std::string> ShardManager::CheckpointSnapshot(bool dirty_only) {
   }
   WriteColorCaps(&out, constraint_);
   WriteOverrides(&out, overrides);
-  if (mixed) WriteObjectiveOverrides(&out, objectives);
+  WriteObjectiveOverrides(&out, objectives);
 
   // Every captured shard: length-prefixed key, length-prefixed core
   // checkpoint, taken one shard lock at a time. A spilled shard's state is
@@ -927,7 +917,7 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
   std::string magic;
   FKC_RETURN_IF_ERROR(cursor.NextToken(&magic));
   const bool v3 = magic == kDeltaMagicV3;
-  if (!v3 && magic != kDeltaMagic) {
+  if (!v3 && magic != kDeltaMagicV2) {
     return Status::InvalidArgument("not an fkc shard delta (bad magic '" +
                                    magic + "')");
   }

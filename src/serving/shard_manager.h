@@ -33,12 +33,11 @@
 //     ingest, cleared on checkpoint); CheckpointDelta() serializes only the
 //     dirty shards and ApplyDelta() folds such a delta into a fleet restored
 //     from the matching base — steady-state fleets ship deltas, not the
-//     whole blob. Full checkpoints use the fkc-shards-v2 format when every
-//     tenant runs the default fair-center objective (so pure fair-center
-//     fleets stay byte-identical to pre-objective builds) and fkc-shards-v3
-//     — v2 plus the objective tag and per-tenant objective table — as soon
-//     as any other objective is involved; Restore accepts v1/v2/v3 blobs
-//     (v1/v2 restore unchanged, as all-fair-center). DeltaLog
+//     whole blob. Checkpoints are written in one format, fkc-shards-v3
+//     (deltas: fkc-shards-delta-v3), which carries the fleet-default
+//     objective tag and the per-tenant objective table; Restore also
+//     accepts the older v1/v2 blobs and ApplyDelta delta-v2 ones (they
+//     restore unchanged, as all-fair-center). DeltaLog
 //     (serving/delta_log.h) turns the delta stream into a replayable,
 //     self-compacting log.
 //   * background maintenance: StartMaintenance(options) runs the eviction
@@ -143,10 +142,8 @@ struct ShardManagerOptions {
   SlidingWindowOptions window;
 
   /// Fleet-default clustering objective applied when a shard is created
-  /// (per-tenant deviations via SetTenantObjective). Checkpointed: a
-  /// non-default value (or any per-tenant objective override) switches the
-  /// fleet blob to the fkc-shards-v3 format; all-fair-center fleets keep
-  /// emitting v2 bytes, byte-identical to pre-objective builds.
+  /// (per-tenant deviations via SetTenantObjective). Checkpointed in the
+  /// fkc-shards-v3 header.
   ObjectiveKind objective = ObjectiveKind::kFairCenter;
 
   /// Worker threads of the shared pool multiplexing ingest and queries over
@@ -314,7 +311,7 @@ class ShardManager {
   /// before the tenant's first arrival (kFailedPrecondition once the shard
   /// exists — options are fixed at creation, like the core's). Overrides
   /// identical to the template are not stored. `options.num_threads` is
-  /// ignored (forced to 1). Overrides travel in v2 fleet checkpoints, so a
+  /// ignored (forced to 1). Overrides travel in fleet checkpoints, so a
   /// restored manager applies them to tenants first seen after the restore.
   Status SetTenantOptions(const std::string& key, SlidingWindowOptions options);
 
@@ -329,7 +326,7 @@ class ShardManager {
   /// SetTenantOptions: must precede the tenant's first arrival
   /// (kFailedPrecondition once the shard exists — a window's objective is
   /// fixed at creation), and a registration equal to the fleet default is
-  /// not stored. Objective overrides travel in v3 fleet checkpoints.
+  /// not stored. Objective overrides travel in fleet checkpoints.
   Status SetTenantObjective(const std::string& key, ObjectiveKind objective);
 
   /// The objective `key`'s shard runs (or would run when created):
@@ -372,12 +369,11 @@ class ShardManager {
   /// error is reported through `spill_status` when provided.
   int64_t EvictIdle(int64_t idle_ttl, Status* spill_status = nullptr);
 
-  /// Serializes the fleet — template, constraint, tenant overrides (options
-  /// and, in v3, objectives), and every shard (live or spilled) — into one
-  /// self-describing blob, and marks every shard clean. The format is v2
-  /// when the whole fleet is default fair-center (byte-identical to
-  /// pre-objective builds) and v3 otherwise. An epoch snapshot like
-  /// QueryAll: the shard set (and override table) is pinned under one
+  /// Serializes the fleet — objective tag, template, constraint, tenant
+  /// overrides (options and objectives), and every shard (live or spilled)
+  /// — into one self-describing fkc-shards-v3 blob, and marks every shard
+  /// clean. An epoch snapshot like QueryAll: the shard set (and override
+  /// table) is pinned under one
   /// routing-lock hold, then serialized one shard lock at a time in
   /// ascending key order, so a concurrently built fleet's bytes equal a
   /// serially built one's; shards created after the snapshot stay dirty

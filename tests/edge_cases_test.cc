@@ -14,7 +14,6 @@
 #include "sequential/chen_matroid_center.h"
 #include "sequential/gonzalez.h"
 #include "sequential/jones_fair_center.h"
-#include "sequential/kleindessner.h"
 #include "stream/window_driver.h"
 
 namespace fkc {
@@ -112,15 +111,6 @@ TEST(EdgeCaseTest, ChenFairPathAndGenericMatroidPathBothThreeApprox) {
         << "trial " << trial;
     EXPECT_TRUE(constraint.IsFeasible(generic.value().centers));
   }
-}
-
-TEST(EdgeCaseTest, KleindessnerSingleSelectableColor) {
-  const KleindessnerFairCenter solver;
-  const std::vector<Point> points = {P({0}, 0), P({50}, 1), P({100}, 1)};
-  auto result = solver.Solve(kMetric, points, ColorConstraint({1, 0}));
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().centers.size(), 1u);
-  EXPECT_EQ(result.value().centers[0].color, 0);
 }
 
 TEST(EdgeCaseTest, GonzalezBadFirstIndexDies) {

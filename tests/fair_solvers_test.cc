@@ -1,7 +1,7 @@
-// Tests for the sequential fair-center solvers (Jones, ChenEtAl,
-// Kleindessner, brute force): feasibility, approximation guarantees against
-// exact optima, matroid-generic behaviour, edge cases, and bit-identity of
-// the SoA solve against the per-pair distance loops.
+// Tests for the sequential fair-center solvers (Jones, ChenEtAl, brute
+// force): feasibility, approximation guarantees against exact optima,
+// matroid-generic behaviour, edge cases, and bit-identity of the SoA solve
+// against the per-pair distance loops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <string>
 
 #include "common/random.h"
-#include "matroid/transversal.h"
 #include "matching/capacitated_matching.h"
 #include "matroid/uniform_matroid.h"
 #include "metric/coordinate_pool.h"
@@ -23,7 +22,6 @@
 #include "sequential/chen_matroid_center.h"
 #include "sequential/gonzalez.h"
 #include "sequential/jones_fair_center.h"
-#include "sequential/kleindessner.h"
 #include "sequential/radius.h"
 
 namespace fkc {
@@ -177,19 +175,6 @@ TEST(ChenTest, GenericMatroidUniformEqualsKCenter) {
   EXPECT_LE(chen.value().radius, 3.0 * exact.value().radius + 1e-9);
 }
 
-TEST(ChenTest, GenericTransversalMatroid) {
-  // Centers must be matchable into 2 "facility licenses": left vertices
-  // 0..5 (points), licenses granted by index parity.
-  const auto points = RandomColored(6, 1, 1, 9);
-  BipartiteGraph graph(6, 2);
-  for (int i = 0; i < 6; ++i) graph.AddEdge(i, i % 2);
-  const TransversalMatroid matroid(std::move(graph));
-  auto result = SolveMatroidCenter(kMetric, points, matroid);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LE(result.value().centers.size(), 2u);
-  EXPECT_TRUE(std::isfinite(result.value().radius));
-}
-
 TEST(ChenTest, LadderModeStaysClose) {
   // Force the geometric-ladder candidate mode and compare to exact mode.
   const auto points = RandomColored(50, 2, 2, 13);
@@ -206,30 +191,6 @@ TEST(ChenTest, LadderModeStaysClose) {
   ASSERT_TRUE(ladder.ok());
   EXPECT_LE(ladder.value().radius,
             1.2 * exact.value().radius + 1e-9);
-}
-
-TEST(KleindessnerTest, SolutionsAlwaysFeasible) {
-  const KleindessnerFairCenter solver;
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto points = RandomColored(60, 2, 3, seed);
-    const ColorConstraint constraint({2, 2, 2});
-    auto result = solver.Solve(kMetric, points, constraint);
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(constraint.IsFeasible(result.value().centers));
-  }
-}
-
-TEST(KleindessnerTest, ShiftsWhenBudgetExhausted) {
-  // Three far clusters, two of them purely color 0, caps {1, 2}: the greedy
-  // must shift at least one pick to color 1.
-  std::vector<Point> points;
-  for (int i = 0; i < 5; ++i) points.push_back(P({0.0 + i * 0.1}, 0));
-  for (int i = 0; i < 5; ++i) points.push_back(P({100.0 + i * 0.1}, 0));
-  for (int i = 0; i < 5; ++i) points.push_back(P({200.0 + i * 0.1}, 1));
-  const KleindessnerFairCenter solver;
-  auto result = solver.Solve(kMetric, points, ColorConstraint({1, 2}));
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(ColorConstraint({1, 2}).IsFeasible(result.value().centers));
 }
 
 // ---------------------------------------------------------------------------
@@ -268,21 +229,6 @@ TEST_P(SolverApproximationTest, ChenWithinThreeTimesOpt) {
   auto approx = chen.Solve(kMetric, points, constraint);
   ASSERT_TRUE(approx.ok());
   EXPECT_LE(approx.value().radius, 3.0 * exact.value().radius + 1e-9)
-      << "seed=" << c.seed;
-}
-
-TEST_P(SolverApproximationTest, KleindessnerWithinPublishedFactor) {
-  const ApproxCase& c = GetParam();
-  const auto points = RandomColored(c.n, 2, c.ell, c.seed);
-  const ColorConstraint constraint(c.caps);
-  auto exact = BruteForceFairCenter(kMetric, points, constraint);
-  ASSERT_TRUE(exact.ok());
-  const KleindessnerFairCenter solver;
-  auto approx = solver.Solve(kMetric, points, constraint);
-  ASSERT_TRUE(approx.ok());
-  // Published factor: 3 * 2^(ell-1) - 1.
-  const double factor = 3.0 * std::pow(2.0, c.ell - 1) - 1.0;
-  EXPECT_LE(approx.value().radius, factor * exact.value().radius + 1e-9)
       << "seed=" << c.seed;
 }
 

@@ -5,12 +5,10 @@
 #include <algorithm>
 
 #include "common/random.h"
-#include "matching/bipartite_graph.h"
 #include "matroid/color_constraint.h"
 #include "matroid/matroid.h"
 #include "matroid/matroid_intersection.h"
 #include "matroid/partition_matroid.h"
-#include "matroid/transversal.h"
 #include "matroid/uniform_matroid.h"
 
 namespace fkc {
@@ -134,43 +132,11 @@ TEST(PartitionMatroidTest, OverPointsUsesColors) {
   EXPECT_FALSE(matroid.IsIndependent({1, 2}));
 }
 
-TEST(TransversalMatroidTest, IndependenceByMatchability) {
-  // Left 0 -> {0}, left 1 -> {0}, left 2 -> {1}: {0,1} collide on right 0.
-  BipartiteGraph graph(3, 2);
-  graph.AddEdge(0, 0);
-  graph.AddEdge(1, 0);
-  graph.AddEdge(2, 1);
-  const TransversalMatroid matroid(std::move(graph));
-  EXPECT_TRUE(matroid.IsIndependent({0, 2}));
-  EXPECT_TRUE(matroid.IsIndependent({1, 2}));
-  EXPECT_FALSE(matroid.IsIndependent({0, 1}));
-  EXPECT_EQ(matroid.Rank(), 2);
-}
-
 TEST(PartitionMatroidDeathTest, CanAddChecksElementBounds) {
   const PartitionMatroid matroid({0, 1}, ColorConstraint({1, 1}));
   EXPECT_DEATH(matroid.CanAdd({}, 2), "element");
   EXPECT_DEATH(matroid.CanAdd({}, -1), "element");
   EXPECT_DEATH(matroid.CanAdd({5}, 0), "GroundSize");
-}
-
-TEST(TransversalMatroidDeathTest, IsIndependentChecksElementBounds) {
-  BipartiteGraph graph(2, 1);
-  graph.AddEdge(0, 0);
-  const TransversalMatroid matroid(std::move(graph));
-  EXPECT_DEATH(matroid.IsIndependent({2}), "GroundSize");
-  EXPECT_DEATH(matroid.IsIndependent({0, -1}), "elements");
-}
-
-TEST(TransversalMatroidTest, SatisfiesAxioms) {
-  BipartiteGraph graph(4, 3);
-  graph.AddEdge(0, 0);
-  graph.AddEdge(0, 1);
-  graph.AddEdge(1, 1);
-  graph.AddEdge(2, 1);
-  graph.AddEdge(2, 2);
-  graph.AddEdge(3, 0);
-  EXPECT_TRUE(CheckMatroidAxioms(TransversalMatroid(std::move(graph))));
 }
 
 TEST(MaximalIndependentSubsetTest, GreedyRespectsOrderAndSeed) {

@@ -1,7 +1,6 @@
 // Objective-layer contract: the ObjectiveEngine seam and the second
-// objective built on it. Fair-center fleets keep emitting byte-identical
-// fkc-shards-v2 checkpoints (pre-objective builds restore them); mixed
-// fleets round-trip through fkc-shards-v3 byte-equal;
+// objective built on it. Every fleet, pure or mixed, checkpoints as
+// fkc-shards-v3 and round-trips byte-equal;
 // k-median engines serialize/restore bit-exactly and answer
 // deterministically; forged or mismatched objective tags are rejected with
 // a Status, never an abort; SetTenantObjective is creation-time-only; and
@@ -207,15 +206,14 @@ TEST(KMedianEngineTest, GenericDeserializeDispatchesOnMagic) {
   }
 }
 
-// --- Fleet formats: v2 byte-compat for pure fair-center, v3 round-trips
-// for mixed fleets. ---
+// --- Fleet formats: one writer (v3) for pure and mixed fleets. ---
 
-TEST(ObjectiveFleetTest, PureFairCenterFleetStaysOnV2Bytes) {
+TEST(ObjectiveFleetTest, PureFairCenterFleetWritesV3Bytes) {
   serving::ShardManager manager(Options(), kConstraint, &kMetric, &kJones);
   ASSERT_TRUE(manager.IngestBatch(KeyedStream(200, 29)).ok());
   const std::string blob = MustCheckpoint(&manager);
-  EXPECT_EQ(blob.rfind("fkc-shards-v2", 0), 0u)
-      << "a default-objective fleet must keep emitting v2 bytes";
+  EXPECT_EQ(blob.rfind("fkc-shards-v3", 0), 0u)
+      << "a default-objective fleet writes the one v3 format";
 
   auto restored =
       serving::ShardManager::Restore(blob, &kMetric, &kJones);

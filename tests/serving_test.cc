@@ -470,11 +470,11 @@ TEST(ShardManagerTest, RestoreAcceptsV1Blobs) {
   EXPECT_EQ(restored.value().shard_count(), manager.shard_count());
   ExpectSameAnswers(manager.QueryAll(), restored.value().QueryAll());
 
-  // And the v1 fleet re-checkpoints as v2 without losing anything.
-  auto v2 = serving::ShardManager::Restore(MustCheckpoint(&restored.value()),
+  // And the v1 fleet re-checkpoints as v3 without losing anything.
+  auto v3 = serving::ShardManager::Restore(MustCheckpoint(&restored.value()),
                                            &kMetric, &kJones);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ExpectSameAnswers(manager.QueryAll(), v2.value().QueryAll());
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  ExpectSameAnswers(manager.QueryAll(), v3.value().QueryAll());
 }
 
 // The satellite bugfix: implausible options in a blob (the adaptive slack
@@ -576,7 +576,7 @@ TEST(ShardManagerTest, CheckpointTruncationFuzzNeverCrashes) {
 }
 
 // Per-tenant overrides: applied at creation, rejected once the shard
-// exists, carried through the v2 checkpoint so tenants first seen after a
+// exists, carried through the fleet checkpoint so tenants first seen after a
 // restore still get their configuration.
 TEST(ShardManagerTest, TenantOverridesApplyAndSurviveCheckpoint) {
   serving::ShardManager manager(Options(1), kConstraint, &kMetric, &kJones);

@@ -26,7 +26,7 @@ Two input formats are auto-detected:
   scheduling-order gauge) — are excluded from comparison entirely. The cross_objective scenario's dict children
   (cross_objective/fair_center, cross_objective/k_median,
   cross_objective/mixed) flatten the same way: objective_value_sum,
-  memory_points, checkpoint_bytes, bursts, updates, and shards are
+  memory_points, checkpoint_bytes, updates, and shards are
   deterministic counters (bit-identical engine state contract),
   updates_per_s rides the wall-time axis, and the VOLATILE_FIELDS filter
   applies so any future timing-dependent field is excluded by name. Wall-time comparison is only meaningful when both
@@ -41,6 +41,14 @@ Usage:
       --max-walltime-regression 0.25 --walltime-only
   python3 tools/compare_bench.py base_micro.json head_micro.json \
       --max-walltime-regression 0.25 --walltime-only
+  python3 tools/compare_bench.py --base base_1.json base_2.json base_3.json \
+      --head head_1.json head_2.json head_3.json \
+      --max-walltime-regression 0.25 --walltime-only
+
+With --base/--head each side may be several runs of the same bench. Every
+numeric field of every entry is then the median over that side's runs, so
+one slow run on a shared runner cannot fail (or pass) the gate on its own.
+A side of one file is that file, unchanged.
 
 Exit code 1 when any compared counter moved by more than --max-regression
 relative to the baseline, any throughput fell by more than
@@ -165,10 +173,48 @@ def load(path):
     return "google_benchmark", load_google_benchmark(data)
 
 
+def median(values):
+    xs = sorted(values)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2.0
+
+
+def load_runs(paths):
+    """Loads several runs of one bench as one (format, entries) view: each
+    numeric field is the median over the runs that report it; other fields
+    come from the first run that has the entry."""
+    loaded = [load(path) for path in paths]
+    formats = {fmt for fmt, _ in loaded}
+    if len(formats) != 1:
+        raise ValueError(f"runs disagree on format: {sorted(formats)}")
+    if len(loaded) == 1:
+        return loaded[0]
+    merged = {}
+    for _, entries in loaded:
+        for name, entry in entries.items():
+            merged.setdefault(name, []).append(entry)
+    out = {}
+    for name, runs in merged.items():
+        combined = dict(runs[0])
+        for key in set().union(*runs):
+            values = [run[key] for run in runs
+                      if isinstance(run.get(key), (int, float))
+                      and not isinstance(run.get(key), bool)]
+            if values:
+                combined[key] = median(values)
+        out[name] = combined
+    return formats.pop(), out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("new")
+    parser.add_argument("baseline", nargs="?")
+    parser.add_argument("new", nargs="?")
+    parser.add_argument("--base", nargs="+", metavar="FILE",
+                        help="several baseline runs (medians are compared); "
+                             "use with --head instead of the positionals")
+    parser.add_argument("--head", nargs="+", metavar="FILE",
+                        help="several new runs (medians are compared)")
     parser.add_argument("--max-regression", type=float, default=0.20,
                         help="max allowed relative change of a stable counter")
     parser.add_argument("--exact-prefixes", default="",
@@ -185,8 +231,24 @@ def main():
     args = parser.parse_args()
     exact_prefixes = tuple(p for p in args.exact_prefixes.split(",") if p)
 
-    base_format, baseline = load(args.baseline)
-    new_format, fresh = load(args.new)
+    if args.base or args.head:
+        if not (args.base and args.head) or args.baseline or args.new:
+            parser.error("--base and --head go together, without the "
+                         "positional files")
+        base_paths, new_paths = args.base, args.head
+    elif args.baseline and args.new:
+        base_paths, new_paths = [args.baseline], [args.new]
+    else:
+        parser.error("need a baseline and a new run")
+    try:
+        base_format, baseline = load_runs(base_paths)
+        new_format, fresh = load_runs(new_paths)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    if len(base_paths) > 1 or len(new_paths) > 1:
+        print(f"comparing medians: {len(base_paths)} baseline run(s) vs "
+              f"{len(new_paths)} new run(s)")
     if base_format != new_format:
         print(f"error: format mismatch ({base_format} vs {new_format})",
               file=sys.stderr)

@@ -4,10 +4,12 @@
 The CI `walltime` job gates each PR at a 25% wall-time regression, but a
 sequence of PRs each 10-20% slower sails under that per-PR gate. This tool
 makes the slow drift visible: it ingests the `walltime-pair-<sha>` artifacts
-the job uploads (each holds `base_shard.json`/`head_shard.json` and
+the job uploads (each holds `base_shard*.json`/`head_shard*.json` and
 `base_micro.json`/`head_micro.json`, produced back to back on ONE runner)
 and chains the per-PR slowdown factors into a cumulative drift per
-benchmark.
+benchmark. A side with several runs (`base_shard_1.json`,
+`base_shard_2.json`, ...) counts as the median of its runs, the way
+compare_bench.py gates it.
 
 Within one artifact the base/head ratio is machine-comparable (same runner,
 interleaved). Across artifacts only the RATIOS are comparable — absolute
@@ -34,17 +36,25 @@ benchmark's cumulative slowdown exceeds --max-cumulative-drift.
 """
 
 import argparse
+import glob
 import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import compare_bench  # noqa: E402  (shared JSON flattening)
 
-# (base filename, head filename, suite label)
+# (base file stem, head file stem, suite label); a stem matches
+# <stem>.json and <stem>_<run>.json.
 PAIR_FILES = [
-    ("base_shard.json", "head_shard.json", "shard_scaling"),
-    ("base_micro.json", "head_micro.json", "micro_kernels"),
+    ("base_shard", "head_shard", "shard_scaling"),
+    ("base_micro", "head_micro", "micro_kernels"),
 ]
+
+
+def run_files(pair_dir, stem):
+    """The run files of one side of a pair, in name order."""
+    return sorted(glob.glob(os.path.join(pair_dir, stem + ".json")) +
+                  glob.glob(os.path.join(pair_dir, stem + "_*.json")))
 
 
 def pair_label(path):
@@ -59,12 +69,12 @@ def slowdowns_for_pair(pair_dir):
     """{(suite, benchmark, field): slowdown} for one artifact directory."""
     out = {}
     for base_name, head_name, suite in PAIR_FILES:
-        base_path = os.path.join(pair_dir, base_name)
-        head_path = os.path.join(pair_dir, head_name)
-        if not (os.path.isfile(base_path) and os.path.isfile(head_path)):
+        base_paths = run_files(pair_dir, base_name)
+        head_paths = run_files(pair_dir, head_name)
+        if not (base_paths and head_paths):
             continue  # older artifacts may predate a suite
-        base_format, base = compare_bench.load(base_path)
-        head_format, head = compare_bench.load(head_path)
+        base_format, base = compare_bench.load_runs(base_paths)
+        head_format, head = compare_bench.load_runs(head_paths)
         if base_format != head_format:
             raise SystemExit(
                 f"error: {pair_dir}: {base_name} and {head_name} disagree on "
@@ -90,9 +100,8 @@ def expand_pair_dirs(args_dirs):
     """Explicit dirs keep argv order; one container dir -> mtime order."""
     if len(args_dirs) == 1 and os.path.isdir(args_dirs[0]):
         sole = args_dirs[0]
-        has_pair_files = any(
-            os.path.isfile(os.path.join(sole, base))
-            for base, _, _ in PAIR_FILES)
+        has_pair_files = any(run_files(sole, base)
+                             for base, _, _ in PAIR_FILES)
         if not has_pair_files:
             subdirs = [os.path.join(sole, d) for d in os.listdir(sole)
                        if os.path.isdir(os.path.join(sole, d))]
